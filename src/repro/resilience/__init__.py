@@ -77,10 +77,9 @@ __all__ = [
     "ResilientRunner",
     "RunReport",
     "resume_driver",
-    "has_overlaps",
 ]
 
-_LAZY_RUNNER = {"ResilientRunner", "RunReport", "resume_driver", "has_overlaps"}
+_LAZY_RUNNER = {"ResilientRunner", "RunReport", "resume_driver"}
 
 
 def __getattr__(name: str):

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.health.acceptance import StepAcceptanceController
 from repro.health.monitor import HealthMonitor
 from repro.resilience.checkpoint import CheckpointManager
@@ -51,8 +49,6 @@ from repro.resilience.policies import (
     RetryPolicy,
 )
 from repro.sparse.enginewatch import get_engine_watch
-from repro.stokesian.neighbors import neighbor_pairs
-from repro.stokesian.particles import ParticleSystem
 import repro.telemetry as _telemetry
 from repro.telemetry import context as _obs
 
@@ -60,19 +56,9 @@ __all__ = [
     "ResilientRunner",
     "RunReport",
     "resume_driver",
-    "has_overlaps",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def has_overlaps(system: ParticleSystem, rel_tol: float = 1e-9) -> bool:
-    """True when any pair overlaps beyond ``rel_tol * mean_radius``."""
-    nl = neighbor_pairs(system, max_gap=0.0)
-    if nl.n_pairs == 0:
-        return False
-    gaps = nl.dist - (system.radii[nl.i] + system.radii[nl.j])
-    return bool(np.any(gaps < -rel_tol * float(np.mean(system.radii))))
 
 
 @dataclass

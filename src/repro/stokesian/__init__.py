@@ -8,7 +8,7 @@ Everything the paper's application layer needs, built from scratch:
 * :mod:`repro.stokesian.packing` — random configurations at prescribed
   volume occupancy (10–50% in the paper) via random placement plus
   overlap relaxation;
-* :mod:`repro.stokesian.neighbors` — periodic cell-list neighbor search;
+* :mod:`repro.stokesian.neighbors` — periodic k-d tree neighbor search;
 * :mod:`repro.stokesian.lubrication` — two-sphere lubrication
   resistance functions for unequal spheres (squeeze and shear modes,
   after Jeffrey & Onishi 1984 / Kim & Karrila 1991);
@@ -38,7 +38,7 @@ from repro.stokesian.particles import (
     sample_ecoli_radii,
 )
 from repro.stokesian.packing import random_configuration, relax_overlaps
-from repro.stokesian.neighbors import neighbor_pairs, CellList
+from repro.stokesian.neighbors import neighbor_pairs
 from repro.stokesian.lubrication import (
     squeeze_resistance,
     shear_resistance,
@@ -70,7 +70,6 @@ __all__ = [
     "random_configuration",
     "relax_overlaps",
     "neighbor_pairs",
-    "CellList",
     "squeeze_resistance",
     "shear_resistance",
     "pair_resistance_block",

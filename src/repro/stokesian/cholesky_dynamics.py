@@ -93,8 +93,15 @@ class CholeskyStokesianDynamics:
         if z is None:
             z = self.rng.standard_normal(self.system.dof)
 
+        gap = p.cutoff_gap
+        if gap is None:
+            gap = float(np.mean(self.system.radii))
         with sw.phase("Construct R"):
-            R_k = self.build_matrix()
+            # One search serves R_k and both displacements.
+            nl = neighbor_pairs(self.system, max_gap=gap)
+            R_k = build_resistance_matrix(
+                self.system, viscosity=p.viscosity, cutoff_gap=gap, neighbor_list=nl
+            )
         with sw.phase("Factor"):
             chol = CholeskySolver(R_k)
         with sw.phase("Brownian (exact)"):
@@ -102,10 +109,6 @@ class CholeskyStokesianDynamics:
         with sw.phase("1st solve (direct)"):
             u_k = chol.solve(-f_b)
 
-        gap = p.cutoff_gap
-        if gap is None:
-            gap = float(np.mean(self.system.radii))
-        nl = neighbor_pairs(self.system, max_gap=gap)
         half_system, _ = apply_displacement(
             self.system, 0.5 * p.dt * u_k, nl, safety=p.overlap_safety
         )

@@ -172,6 +172,7 @@ class StokesianDynamics:
         acceptance controller's job."""
         self._cached_bounds: Optional[tuple[float, float]] = None
         self._bounds_age = 0
+        self._last_pairs: Optional[tuple[ParticleSystem, float, NeighborList]] = None
         # Auxiliary stream for Lanczos starting vectors, split off so
         # spectrum estimation never desynchronizes the physical noise
         # sequence between algorithm variants.
@@ -189,7 +190,24 @@ class StokesianDynamics:
             sys_,
             viscosity=self.params.viscosity,
             cutoff_gap=self.params.cutoff_gap,
+            neighbor_list=self._pairs_of(sys_),
         )
+
+    def _pairs_of(self, system: ParticleSystem) -> NeighborList:
+        """The interacting pairs of ``system``, searched once per
+        configuration.
+
+        :meth:`build_matrix` keeps its one-argument signature (callers
+        wrap it), so :meth:`step` takes R_k's pair list back from here
+        to move the particles instead of searching again."""
+        gap = self.params.cutoff_gap
+        if gap is None:
+            gap = float(np.mean(system.radii))
+        last = self._last_pairs
+        if last is None or last[0] is not system or last[1] != gap:
+            nl = neighbor_pairs(system, max_gap=gap)
+            last = self._last_pairs = (system, gap, nl)
+        return last[2]
 
     def spectrum_bounds(self, R: BCRSMatrix) -> tuple[float, float]:
         """Cached, safety-widened spectrum enclosure of ``R``.
@@ -274,13 +292,6 @@ class StokesianDynamics:
             raise ValueError("forces must return an (n, 3) or (3n,) array")
         return f
 
-    def neighbor_list(self, system: Optional[ParticleSystem] = None) -> NeighborList:
-        sys_ = system if system is not None else self.system
-        gap = self.params.cutoff_gap
-        if gap is None:
-            gap = float(np.mean(sys_.radii))
-        return neighbor_pairs(sys_, max_gap=gap)
-
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
@@ -325,7 +336,7 @@ class StokesianDynamics:
                 if norm > 0:
                     guess_error = float(np.linalg.norm(res1.x - u_guess)) / norm
 
-            nl = self.neighbor_list()
+            nl = self._pairs_of(self.system)
             half_system, mid_scale = apply_displacement(
                 self.system, 0.5 * p.dt * res1.x, nl, safety=p.overlap_safety
             )

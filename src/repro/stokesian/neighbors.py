@@ -1,25 +1,34 @@
-"""Periodic neighbor search with cell lists.
+"""Periodic neighbor search.
 
 The lubrication matrix couples only particle pairs whose surface gap is
 below a cutoff, so assembly needs all pairs with center distance under
-``radius_i + radius_j + max_gap``.  :class:`CellList` bins particles
-into a 3-D grid of cells at least one cutoff wide and scans the 27
-neighboring cells (the standard method; the paper constructs the same
-neighbor lists and even reuses the binning for its coordinate-based
-matrix partitioning).
+``radius_i + radius_j + max_gap``.  :func:`neighbor_pairs` finds them
+with scipy's periodic k-d tree (``cKDTree`` with ``boxsize``), which
+measures minimum-image distances and is exact at any box size and any
+cutoff.  The paper constructs the same neighbor lists (from cell
+binning, which it also reuses for its coordinate-based matrix
+partitioning).
 
-For boxes too small to hold 3 cells per side the implementation falls
-back to an all-pairs minimum-image scan, which is exact at any size.
+Pairs come out with ``i < j`` in lexicographic ``(i, j)`` order, so
+anything assembled from them does not depend on the tree's traversal.
+Particles with non-finite coordinates pair with nothing: a NaN state
+reaches the health layer instead of failing inside the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.stokesian.particles import ParticleSystem
 
-__all__ = ["CellList", "neighbor_pairs", "NeighborList"]
+__all__ = ["neighbor_pairs", "NeighborList"]
+
+# Relative slack on the tree's radius: its distances may round
+# differently from the minimum-image norms below, which decide.
+_QUERY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,99 +47,6 @@ class NeighborList:
         return int(len(self.i))
 
 
-class CellList:
-    """A 3-D periodic cell grid over a particle system."""
-
-    def __init__(self, system: ParticleSystem, cutoff: float) -> None:
-        if cutoff <= 0:
-            raise ValueError("cutoff must be positive")
-        self.system = system
-        self.cutoff = float(cutoff)
-        # Cells must be at least `cutoff` wide so neighbors are within
-        # the adjacent 27 cells.
-        counts = np.maximum(1, np.floor(system.box / cutoff).astype(int))
-        self.n_cells = counts
-        self.use_cells = bool(np.all(counts >= 3))
-        if self.use_cells:
-            frac = system.positions / system.box
-            cell_of = np.minimum(
-                (frac * counts).astype(np.int64), counts - 1
-            )
-            self.cell_index = (
-                cell_of[:, 0] * counts[1] + cell_of[:, 1]
-            ) * counts[2] + cell_of[:, 2]
-            order = np.argsort(self.cell_index, kind="stable")
-            self.order = order
-            self.sorted_cells = self.cell_index[order]
-
-    def _cell_members(self) -> dict[int, np.ndarray]:
-        members: dict[int, np.ndarray] = {}
-        boundaries = np.flatnonzero(np.diff(self.sorted_cells)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(self.sorted_cells)]])
-        for s, e in zip(starts, ends):
-            members[int(self.sorted_cells[s])] = self.order[s:e]
-        return members
-
-    def pairs(self) -> NeighborList:
-        """All pairs within ``cutoff`` (center distance), ``i < j``."""
-        sys_ = self.system
-        if not self.use_cells:
-            return _all_pairs(sys_, self.cutoff)
-        nx, ny, nz = (int(c) for c in self.n_cells)
-        members = self._cell_members()
-        i_out: list[np.ndarray] = []
-        j_out: list[np.ndarray] = []
-        offsets = [
-            (dx, dy, dz)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-        ]
-        for cell_id, own in members.items():
-            cx, rem = divmod(cell_id, ny * nz)
-            cy, cz = divmod(rem, nz)
-            for dx, dy, dz in offsets:
-                ox, oy, oz = (cx + dx) % nx, (cy + dy) % ny, (cz + dz) % nz
-                other_id = (ox * ny + oy) * nz + oz
-                other = members.get(other_id)
-                if other is None:
-                    continue
-                if other_id < cell_id:
-                    continue  # each unordered cell pair visited once
-                if other_id == cell_id:
-                    a, b = np.triu_indices(len(own), k=1)
-                    ii, jj = own[a], own[b]
-                else:
-                    ii = np.repeat(own, len(other))
-                    jj = np.tile(other, len(own))
-                if len(ii):
-                    i_out.append(ii)
-                    j_out.append(jj)
-        if not i_out:
-            empty = np.empty(0, dtype=np.int64)
-            return NeighborList(empty, empty, np.empty((0, 3)), np.empty(0))
-        i_all = np.concatenate(i_out)
-        j_all = np.concatenate(j_out)
-        # Canonical orientation i < j (cross-cell pairs may come reversed).
-        swap = i_all > j_all
-        i_all[swap], j_all[swap] = j_all[swap], i_all[swap].copy()
-        r = sys_.minimum_image(sys_.positions[j_all] - sys_.positions[i_all])
-        dist = np.linalg.norm(r, axis=1)
-        keep = dist <= self.cutoff
-        return NeighborList(
-            i=i_all[keep], j=j_all[keep], r_vec=r[keep], dist=dist[keep]
-        )
-
-
-def _all_pairs(system: ParticleSystem, cutoff: float) -> NeighborList:
-    i, j = np.triu_indices(system.n, k=1)
-    r = system.minimum_image(system.positions[j] - system.positions[i])
-    dist = np.linalg.norm(r, axis=1)
-    keep = dist <= cutoff
-    return NeighborList(i=i[keep], j=j[keep], r_vec=r[keep], dist=dist[keep])
-
-
 def neighbor_pairs(
     system: ParticleSystem, *, max_gap: float | None = None, cutoff: float | None = None
 ) -> NeighborList:
@@ -144,14 +60,23 @@ def neighbor_pairs(
     """
     if (max_gap is None) == (cutoff is None):
         raise ValueError("specify exactly one of max_gap or cutoff")
-    if cutoff is not None:
-        return CellList(system, cutoff).pairs()
-    if max_gap < 0:
-        raise ValueError("max_gap must be non-negative")
-    center_cutoff = 2.0 * float(system.radii.max()) + float(max_gap)
-    nl = CellList(system, center_cutoff).pairs()
-    gaps = nl.dist - (system.radii[nl.i] + system.radii[nl.j])
-    keep = gaps <= max_gap
-    return NeighborList(
-        i=nl.i[keep], j=nl.j[keep], r_vec=nl.r_vec[keep], dist=nl.dist[keep]
-    )
+    if cutoff is None:
+        if max_gap < 0:
+            raise ValueError("max_gap must be non-negative")
+        cutoff = 2.0 * float(system.radii.max()) + float(max_gap)
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    pos = system.positions
+    finite = np.flatnonzero(np.isfinite(pos).all(axis=1))
+    tree = cKDTree(pos[finite], boxsize=system.box)
+    found = tree.query_pairs(cutoff * (1.0 + _QUERY_SLACK), output_type="ndarray")
+    # `finite` is increasing, so mapping back keeps i < j.
+    i, j = finite[found[:, 0]], finite[found[:, 1]]
+    r = system.minimum_image(pos[j] - pos[i])
+    dist = np.linalg.norm(r, axis=1)
+    keep = dist <= cutoff
+    if max_gap is not None:
+        keep &= dist - (system.radii[i] + system.radii[j]) <= max_gap
+    sel = np.flatnonzero(keep)
+    sel = sel[np.lexsort((j[sel], i[sel]))]
+    return NeighborList(i=i[sel], j=j[sel], r_vec=r[sel], dist=dist[sel])

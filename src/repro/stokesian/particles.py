@@ -92,6 +92,8 @@ class ParticleSystem:
         if np.any(2 * radii.max() > box):
             raise ValueError("box must be larger than the largest sphere diameter")
         positions = np.mod(positions, box)
+        # np.mod rounds a tiny negative coordinate up to exactly `box`.
+        positions[positions >= box] = 0.0
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "box", box)

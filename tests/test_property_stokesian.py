@@ -112,8 +112,19 @@ class TestLubricationProperties:
 
 class TestNeighborProperties:
     @settings(max_examples=30, deadline=None)
-    @given(system=particle_systems(), factor=st.floats(0.5, 3.0))
-    def test_cell_list_equals_brute_force(self, system, factor):
+    @given(
+        system=particle_systems(),
+        factor=st.floats(0.5, 3.0),
+        nan_row=st.one_of(st.none(), st.integers(0, 11)),
+    )
+    def test_cell_list_equals_brute_force(self, system, factor, nan_row):
+        """Exactly the brute-force pair set, ``i < j`` in lexsorted
+        order; a particle with a NaN coordinate pairs with nothing."""
+        if nan_row is not None:
+            nan_row %= system.n
+            positions = system.positions.copy()
+            positions[nan_row, nan_row % 3] = np.nan
+            system = ParticleSystem(positions, system.radii, system.box)
         cutoff = factor * float(system.radii.mean()) * 2
         nl = neighbor_pairs(system, cutoff=cutoff)
         i, j = np.triu_indices(system.n, k=1)
@@ -124,6 +135,10 @@ class TestNeighborProperties:
         expected = set(zip(i[d <= cutoff].tolist(), j[d <= cutoff].tolist()))
         got = set(zip(nl.i.tolist(), nl.j.tolist()))
         assert got == expected
+        assert np.all(nl.i < nl.j)
+        np.testing.assert_array_equal(np.lexsort((nl.j, nl.i)), np.arange(nl.n_pairs))
+        if nan_row is not None:
+            assert nan_row not in nl.i and nan_row not in nl.j
 
 
 class TestChebyshevProperties:

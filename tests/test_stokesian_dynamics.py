@@ -157,6 +157,25 @@ class TestStokesianDynamics:
         assert len(sd.history) == 2
         assert [r.step_index for r in sd.history] == [0, 1]
 
+    def test_one_neighbor_search_per_configuration(self, small_system, monkeypatch):
+        """A step searches r_k and r_{k+1/2} once each: R_k and both
+        displacements share r_k's pair list."""
+        import repro.stokesian.dynamics as dynamics
+        import repro.stokesian.resistance as resistance
+
+        searched = []
+
+        def counting(system, **kw):
+            searched.append(system)
+            return neighbor_pairs(system, **kw)
+
+        monkeypatch.setattr(dynamics, "neighbor_pairs", counting)
+        monkeypatch.setattr(resistance, "neighbor_pairs", counting)
+        sd = StokesianDynamics(small_system, SDParameters(), rng=11)
+        sd.run(3)
+        assert len(searched) == 6
+        assert len({id(s) for s in searched}) == 6
+
 
 class TestBrownianDynamics:
     def test_step_moves_particles(self):

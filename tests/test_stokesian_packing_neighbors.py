@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stokesian.neighbors import CellList, neighbor_pairs
+from repro.stokesian.neighbors import neighbor_pairs
 from repro.stokesian.packing import (
     box_edge_for_fraction,
     default_clearance,
@@ -137,20 +137,29 @@ class TestNeighborPairs:
         np.testing.assert_allclose(np.linalg.norm(nl.r_vec, axis=1), nl.dist)
 
     def test_small_box_fallback(self):
-        """A box under 3 cells per side must fall back to all-pairs."""
+        """A box under 3 cutoffs per side is still searched exactly."""
         s = ParticleSystem(
             [[1.0, 1.0, 1.0], [3.0, 3.0, 3.0], [5.0, 1.0, 3.0]],
             [0.5, 0.5, 0.5],
             [6.0, 6.0, 6.0],
         )
-        cl = CellList(s, cutoff=2.5)
-        assert not cl.use_cells
-        nl = cl.pairs()
+        nl = neighbor_pairs(s, cutoff=2.5)
         # Brute-force reference on the same geometry.
         i, j = np.triu_indices(s.n, k=1)
         d = s.minimum_image(s.positions[j] - s.positions[i])
         expected = int(np.sum(np.linalg.norm(d, axis=1) <= 2.5))
         assert nl.n_pairs == expected
+
+    def test_pair_exactly_at_cutoff_is_found(self):
+        """``dist <= cutoff`` decides, with ``dist`` the minimum-image
+        norm, even where the tree's own distance rounds above it."""
+        rng = np.random.default_rng(0)
+        box = np.array([17.3, 11.1, 23.7])
+        for _ in range(50):
+            s = ParticleSystem(rng.uniform(0, 1, (2, 3)) * box, [0.5, 0.5], box)
+            d = s.minimum_image(s.positions[[1]] - s.positions[[0]])
+            cutoff = float(np.linalg.norm(d, axis=1)[0])
+            assert neighbor_pairs(s, cutoff=cutoff).n_pairs == 1
 
     def test_empty_result(self):
         s = ParticleSystem(
@@ -162,7 +171,7 @@ class TestNeighborPairs:
     def test_cutoff_validation(self):
         s = random_configuration(5, 0.1, rng=0)
         with pytest.raises(ValueError):
-            CellList(s, cutoff=0.0)
+            neighbor_pairs(s, cutoff=0.0)
         with pytest.raises(ValueError):
             neighbor_pairs(s, max_gap=-1.0)
 

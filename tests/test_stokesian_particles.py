@@ -58,6 +58,13 @@ class TestParticleSystem:
         s = ParticleSystem([[11.0, -1.0, 5.0]], [1.0], [10.0, 10.0, 10.0])
         np.testing.assert_allclose(s.positions[0], [1.0, 9.0, 5.0])
 
+    def test_tiny_negative_coordinate_wraps_below_box(self):
+        # np.mod(-1e-20, 10.0) rounds to exactly 10.0.
+        s = ParticleSystem([[-1e-20, 0.0, -1e-300]], [1.0], [10.0, 10.0, 10.0])
+        assert np.all(s.positions >= 0.0)
+        assert np.all(s.positions < s.box)
+        np.testing.assert_array_equal(s.positions[0], [0.0, 0.0, 0.0])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="positions"):
             ParticleSystem(np.zeros((2, 2)), [1.0, 1.0], [10.0] * 3)
