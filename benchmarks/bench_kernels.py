@@ -140,7 +140,6 @@ def collect() -> dict:
             e: {
                 "bw_scale": p.bw_scale,
                 "flop_scale": p.flop_scale,
-                "block_traffic_scale": p.block_traffic_scale,
             }
             for e, p in profiles.items()
         },

@@ -77,9 +77,7 @@ __all__ = ["main", "build_parser"]
 #: ``--engine`` vocabulary: the auto-selector plus every concrete
 #: kernel engine (kept in sync with ``repro.sparse.kernels.ENGINE_NAMES``
 #: by a test; not imported here so ``--help`` stays dependency-light).
-ENGINE_CHOICES = (
-    "auto", "blocked", "tiled", "scipy", "cgen", "numba", "dedup",
-)
+ENGINE_CHOICES = ("auto", "blocked", "tiled", "scipy", "cgen")
 
 
 def _add_watch_arguments(sub: argparse.ArgumentParser) -> None:

@@ -3,11 +3,11 @@
 The paper's model predicts ``T(m) = max(Tbw, Tcomp)`` from machine
 peaks — the *best possible* kernel.  Real engines reach different
 fractions of those peaks (the NumPy reference kernel streams extra
-temporaries; the generated C kernel runs at the STREAM limit; the dedup
-engine does not stream repeated blocks at all), so comparing one model
-against every engine either flags good engines or excuses bad ones.
+temporaries; the generated C kernel runs at the STREAM limit), so
+comparing one model against every engine either flags good engines or
+excuses bad ones.
 
-:class:`EngineProfile` captures an engine's efficiency as three scale
+:class:`EngineProfile` captures an engine's efficiency as two scale
 factors on the raw model, and :func:`calibrate_profile` fits the single
 time scale from measurements at one (or a few) ``m`` — after which the
 model must *predict* other ``m`` within the roofline report threshold
@@ -59,35 +59,23 @@ class EngineProfile:
         kernels with extra temporaries or strided access).
     flop_scale:
         Fraction of ``machine.flop_rate`` the engine sustains.
-    block_traffic_scale:
-        Fraction of the ``nnzb * sa`` block bytes actually streamed —
-        below 1 only for the ``dedup`` engine, whose unique-block pool
-        replaces repeated block reads (``n_unique / nnzb`` in the
-        cache-friendly limit).
     """
 
     engine: str
     bw_scale: float = 1.0
     flop_scale: float = 1.0
-    block_traffic_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.bw_scale <= 0 or self.flop_scale <= 0:
             raise ValueError("bw_scale and flop_scale must be positive")
-        if not 0.0 < self.block_traffic_scale <= 1.0:
-            raise ValueError("block_traffic_scale must be in (0, 1]")
 
     # ------------------------------------------------------------------
     def time_bandwidth(
         self, shape: MatrixShape, m: int, machine: MachineSpec,
         k: float = 0.0,
     ) -> float:
-        """``Tbw(m)`` at the engine's effective bandwidth and traffic."""
-        # Recover Mtr(m) from the raw model, then discount the block
-        # bytes the engine does not stream (dedup's pooled blocks).
-        mtr = time_bandwidth(shape, m, machine, k) * machine.stream_bw
-        mtr -= shape.nnzb * shape.sa * (1.0 - self.block_traffic_scale)
-        return mtr / (machine.stream_bw * self.bw_scale)
+        """``Tbw(m)`` at the engine's effective bandwidth."""
+        return time_bandwidth(shape, m, machine, k) / self.bw_scale
 
     def time_compute(
         self, shape: MatrixShape, m: int, machine: MachineSpec
@@ -115,7 +103,6 @@ def calibrate_profile(
     samples: Mapping[int, float],
     *,
     k: float = 0.0,
-    block_traffic_scale: float = 1.0,
 ) -> EngineProfile:
     """Fit an :class:`EngineProfile` from measured seconds per call.
 
@@ -143,24 +130,16 @@ def calibrate_profile(
     for m, measured in samples.items():
         if measured <= 0:
             raise ValueError(f"measured time for m={m} must be positive")
-    base = EngineProfile(
-        engine=engine, block_traffic_scale=block_traffic_scale
-    )
+    base = EngineProfile(engine=engine)
     m_lo, m_hi = min(samples), max(samples)
     if m_lo == m_hi:
         scale = samples[m_lo] / base.time(shape, m_lo, machine, k)
         efficiency = 1.0 / scale
         return EngineProfile(
-            engine=engine,
-            bw_scale=efficiency,
-            flop_scale=efficiency,
-            block_traffic_scale=block_traffic_scale,
+            engine=engine, bw_scale=efficiency, flop_scale=efficiency
         )
     bw_scale = base.time_bandwidth(shape, m_lo, machine, k) / samples[m_lo]
     flop_scale = base.time_compute(shape, m_hi, machine) / samples[m_hi]
     return EngineProfile(
-        engine=engine,
-        bw_scale=bw_scale,
-        flop_scale=flop_scale,
-        block_traffic_scale=block_traffic_scale,
+        engine=engine, bw_scale=bw_scale, flop_scale=flop_scale
     )

@@ -181,17 +181,15 @@ class MrhsCostModel:
         c = self.counts
         shape = self.model.shape
         # The constants are exact for the bound model; with an engine
-        # profile the effective rates and block traffic scale the same
-        # way, keeping each expansion identical to average_step_time in
-        # its regime (the profiled tests verify this too).
+        # profile the effective rates scale the same way, keeping each
+        # expansion identical to average_step_time in its regime (the
+        # profiled tests verify this too).
         prof = self.model.profile
         bw_scale = prof.bw_scale if prof is not None else 1.0
         flop_scale = prof.flop_scale if prof is not None else 1.0
-        bts = prof.block_traffic_scale if prof is not None else 1.0
         B = self.machine.stream_bw * bw_scale
         F = self.machine.flop_rate * flop_scale
-        sx, fa = shape.sx, shape.fa
-        sa = shape.sa * bts
+        sx, fa, sa = shape.sx, shape.fa, shape.sa
         nb, nnzb = shape.nb, shape.nnzb
         t1 = self.model.time_bandwidth(1)
         c_bytes = INDEX_BYTES * nb + nnzb * (INDEX_BYTES + sa)

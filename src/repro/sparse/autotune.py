@@ -68,9 +68,10 @@ CACHE_FILENAME = "kernel_autotune.json"
 
 #: Verdict-file schema.  v1 was a bare ``{key: record}`` mapping with no
 #: integrity metadata; v2 wraps it as ``{"schema": 2, "entries": ...}``
-#: with per-entry checksums and host fingerprints.  Any other shape is
-#: rejected and rebuilt.
-SCHEMA_VERSION = 2
+#: with per-entry checksums and host fingerprints.  v3 keeps the v2
+#: layout; the bump retires v2 verdicts, whose winners may name engines
+#: that no longer exist.  Any other schema is rejected and rebuilt.
+SCHEMA_VERSION = 3
 
 #: Target duration of one timing measurement; calls faster than this are
 #: batched so the perf_counter resolution does not dominate.
@@ -359,7 +360,7 @@ class AutoSelector:
 
     def _time(self, fn) -> float:
         """Best-of-``repeats`` seconds per call, batching fast calls."""
-        fn()  # warmup: plan building, compilation, JIT
+        fn()  # warmup: plan building, compilation
         t0 = time.perf_counter()
         fn()
         dt = time.perf_counter() - t0

@@ -199,31 +199,6 @@ class BCRSMatrix:
         lo, hi = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
         return self.col_ind[lo:hi], self.blocks[lo:hi]
 
-    def unique_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Hash-cons the stored blocks into a unique pool.
-
-        Returns ``(pool, inverse)`` where ``pool`` is ``(n_unique, b, b)``
-        with each distinct block value stored once and ``inverse`` is an
-        ``(nnzb,)`` int array with ``pool[inverse[k]] == blocks[k]``
-        (bit-exact float64 comparison).  In SD matrices the lubrication
-        tensors of equally spaced pairs repeat heavily — regular packings
-        can compress ``nnzb`` blocks to a handful of uniques — which the
-        ``dedup`` kernel engine exploits (cf. arXiv:2508.06710).
-        """
-        b = self.block_size
-        flat = self.blocks.reshape(self.nnzb, b * b)
-        # View each block's bytes as one void scalar so np.unique
-        # compares whole blocks (exact bit patterns, so -0.0 != 0.0 and
-        # NaNs with equal payloads do coalesce).
-        keys = np.ascontiguousarray(flat).view(
-            np.dtype((np.void, flat.dtype.itemsize * b * b))
-        ).ravel()
-        _, first, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        pool = self.blocks[first].copy()
-        return pool, inverse.astype(np.int64)
-
     def diagonal_blocks(self) -> np.ndarray:
         """Return the ``(min(nbr,nbc), b, b)`` array of diagonal blocks.
 

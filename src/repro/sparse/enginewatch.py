@@ -1,21 +1,23 @@
 """Self-healing runtime for the GSPMV engine tier (the engine watchdog).
 
-PR 6 made the hot path depend on per-machine compiled artifacts —
-generated C objects, optional JIT kernels, an autotune verdict cache.
-Those are exactly the components that fail in long unattended
-campaigns: missing or broken compilers, truncated cache entries,
-miscompiled kernels that return *wrong numbers* rather than raising.
+The hot path depends on per-machine compiled artifacts — generated C
+objects and an autotune verdict cache.  Those are exactly the
+components that fail in long unattended campaigns: missing or broken
+compilers, truncated cache entries, miscompiled kernels that return
+*wrong numbers* rather than raising.
 The paper's premise is that GSPMV dominates runtime; this module's
 premise is that a wrong-answer kernel is worse than a slow one.
 
 Three cooperating pieces (see DESIGN.md §14):
 
 **Fallback ladder.**  :data:`FALLBACK_LADDER` fixes the demotion order
-``cgen → numba → dedup → tiled → blocked → scipy``.  Any engine-tier
-failure (:class:`EngineFailure`: compile errors, load errors, missing
-toolchains) demotes the product to the next available rung instead of
-raising, and every demotion is a structured :class:`EngineEvent` —
-recorded to the in-process ring, to telemetry counters
+``cgen → scipy → blocked``: the generated C kernel, scipy's compiled
+BSR product, then the pure-NumPy reference.  The ablation engine
+``tiled`` is selectable but off the ladder; it demotes to ``scipy``.
+Any engine-tier failure (:class:`EngineFailure`: compile errors, load
+errors, missing toolchains) demotes the product to the next available
+rung instead of raising, and every demotion is a structured
+:class:`EngineEvent` — recorded to the in-process ring, to telemetry counters
 (``engine.events{kind=...,engine=...}``) and spans, and optionally to a
 :class:`~repro.health.monitor.HealthMonitor` as a WARN/FATAL verdict.
 Nothing is skipped silently.
@@ -104,10 +106,11 @@ class LadderExhausted(EngineFailure):
     """
 
 
-#: Demotion order.  Compiled tiers first (fastest, most fragile), the
-#: NumPy tiers last; ``blocked`` is the reference the shadow checks
-#: compare against and can never be quarantined.
-FALLBACK_LADDER = ("cgen", "numba", "dedup", "tiled", "blocked", "scipy")
+#: Demotion order.  The generated kernel first (fastest, most fragile),
+#: then scipy's compiled BSR product, then the floor: ``blocked`` is the
+#: reference the shadow checks compare against and can never be
+#: quarantined.
+FALLBACK_LADDER = ("cgen", "scipy", "blocked")
 
 #: The trusted pure-NumPy engine shadow verification recomputes with.
 REFERENCE_ENGINE = "blocked"
@@ -403,16 +406,17 @@ class EngineWatch:
         shape: Optional[str] = None,
     ) -> str:
         """The first ladder rung below ``engine`` that is available and
-        (when ``shape`` is given) not quarantined.
+        (when ``shape`` is given) not quarantined.  An engine off the
+        ladder (``tiled``) ranks just below ``cgen``.
 
         Raises :class:`LadderExhausted` — after recording the FATAL
         event — when nothing below qualifies.
         """
         avail = set(available)
-        try:
-            start = FALLBACK_LADDER.index(engine) + 1
-        except ValueError:
-            start = 0
+        start = (
+            FALLBACK_LADDER.index(engine) + 1
+            if engine in FALLBACK_LADDER else 1
+        )
         for rung in FALLBACK_LADDER[start:]:
             if rung not in avail:
                 continue

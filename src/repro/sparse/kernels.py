@@ -7,8 +7,8 @@ i.e. kernel work is specialized once per ``m`` and reused every call.
 *family* of interchangeable engines: it prepares, once per
 ``(block_size, m, engine)``, everything a product needs beyond the raw
 arrays — einsum contraction paths, cached ``scipy.sparse`` views,
-compiled kernels, unique-block pools — and dispatches every multiply
-through one validated entry point.
+compiled kernels — and dispatches every multiply through one validated
+entry point.
 
 Engines (see DESIGN.md §13):
 
@@ -21,7 +21,8 @@ Engines (see DESIGN.md §13):
 
 ``"tiled"``
     The blocked kernel with row tiling so its temporaries stay
-    cache-resident (the paper's cache-blocking optimization).
+    cache-resident (the paper's cache-blocking optimization).  An
+    ablation engine: selectable, but not a fallback rung.
 
 ``"scipy"``
     Delegates to ``scipy.sparse``'s C implementation via a cached BSR
@@ -32,20 +33,7 @@ Engines (see DESIGN.md §13):
     system compiler and register blocking over the vector dimension —
     the reproduction of the paper's per-``m`` code generator
     (:mod:`repro.sparse.kernels_cgen`).  Unavailable environments
-    demote down the fallback ladder with a one-time warning.
-
-``"numba"``
-    Numba-jitted kernels with a parallel block-row loop
-    (:mod:`repro.sparse.kernels_numba`); import-guarded, demoted down
-    the ladder when Numba is absent.
-
-``"dedup"``
-    Hash-conses ``A.blocks`` into a unique-block pool and computes all
-    (unique block) x (block column of X) products as one DGEMM, then
-    gathers per stored block — profitable when blocks repeat heavily
-    (crystalline packings, mesh-regular matrices; cf. "Exploiting
-    repeated matrix block structures", arXiv:2508.06710).  Falls back
-    to ``tiled`` when the pool is too large to pay.
+    demote to ``scipy`` with a one-time warning.
 
 ``"auto"``
     Micro-benchmarks the available engines for this machine and matrix
@@ -54,10 +42,10 @@ Engines (see DESIGN.md §13):
 
 Every dispatch runs under the engine watchdog
 (:mod:`repro.sparse.enginewatch`, DESIGN.md §14): engine-tier failures
-demote the product down an explicit fallback ladder instead of raising,
-an opt-in shadow check verifies results against the ``blocked``
-reference on a cadence, and an engine caught miscomparing is
-quarantined for that shape class and routed around from then on.
+demote the product down the fallback ladder ``cgen → scipy → blocked``
+instead of raising, an opt-in shadow check verifies results against the
+``blocked`` reference on a cadence, and an engine caught miscomparing
+is quarantined for that shape class and routed around from then on.
 """
 
 from __future__ import annotations
@@ -72,10 +60,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.resilience.faults import active_injector, fire_fault
-from repro.sparse import kernels_cgen, kernels_numba
+from repro.sparse import kernels_cgen
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.enginewatch import (
-    REFERENCE_ENGINE,
     EngineFailure,
     EngineWatch,
     reference_rows,
@@ -91,12 +78,10 @@ __all__ = [
     "set_default_engine",
 ]
 
-Engine = Literal["auto", "blocked", "tiled", "scipy", "cgen", "numba", "dedup"]
+Engine = Literal["auto", "blocked", "tiled", "scipy", "cgen"]
 
 #: Every concrete engine name (excludes the ``"auto"`` selector).
-ENGINE_NAMES: Tuple[str, ...] = (
-    "blocked", "tiled", "scipy", "cgen", "numba", "dedup",
-)
+ENGINE_NAMES: Tuple[str, ...] = ("blocked", "tiled", "scipy", "cgen")
 
 #: Temporary-buffer budget of the "tiled" engine.  The per-tile
 #: gather/contribution temporaries are ~2 * tile_nnzb * b * m * 8 bytes;
@@ -104,30 +89,15 @@ ENGINE_NAMES: Tuple[str, ...] = (
 #: (measured ~4x at m=16 on a DRAM-resident matrix).
 TILE_BUDGET_BYTES = 2 * 2**20
 
-#: The dedup engine's big-GEMM mode computes ``n_unique * nb_cols``
-#: block products where the exact kernel needs ``nnzb``; that mode only
-#: runs when the expansion stays below this factor.
-DEDUP_EXPANSION_LIMIT = 1.25
-
-#: Above the expansion limit the dedup engine instead batches one GEMM
-#: per unique block (no column expansion, but a Python-level loop over
-#: the pool) — worthwhile only while the pool stays this small.
-DEDUP_MAX_GROUPS = 32
-
 
 def available_engines() -> Tuple[str, ...]:
     """Concrete engines usable in this process, in registry order.
 
-    ``cgen`` requires a working C toolchain; ``numba`` requires the
-    (optional) numba package.  Everything else is always available.
+    ``cgen`` requires a working C toolchain; everything else is always
+    available.
     """
-    names = ["blocked", "tiled", "scipy"]
-    if kernels_cgen.available():
-        names.append("cgen")
-    if kernels_numba.available():
-        names.append("numba")
-    names.append("dedup")
-    return tuple(names)
+    cgen = kernels_cgen.available()
+    return tuple(e for e in ENGINE_NAMES if e != "cgen" or cgen)
 
 
 def _segment_sum(
@@ -172,48 +142,6 @@ class _BlockedPlan:
     m: int
 
 
-@dataclass
-class _DedupPlan:
-    """Hash-consed block pool for the dedup engine (per matrix).
-
-    ``pool`` holds each distinct block once; ``inverse`` maps each
-    stored block to its pool row.  ``mode`` picks the execution
-    strategy: ``"gemm"`` multiplies the whole pool against every block
-    column of X as one DGEMM (``pool_flat`` is the pool reshaped
-    ``(n_unique * b, b)`` for it), ``"grouped"`` runs one batched GEMM
-    per unique block over ``perm``/``group_ptr`` (stored blocks sorted
-    by pool row), ``"fallback"`` delegates to ``tiled`` because the
-    pool is too large for either to pay.  ``fingerprint`` is a cheap
-    sample checksum of the source block array used to detect in-place
-    mutation (``invalidate`` remains the guaranteed path).
-    """
-
-    pool: np.ndarray
-    pool_flat: np.ndarray
-    n_unique: int
-    inverse: np.ndarray
-    fingerprint: Tuple
-    mode: str
-    perm: Optional[np.ndarray] = None
-    group_ptr: Optional[np.ndarray] = None
-
-
-def _blocks_fingerprint(blocks: np.ndarray) -> Tuple:
-    """A cheap staleness probe: shape + strided sample sums.
-
-    Reads ~1k elements regardless of matrix size, so it can run on
-    every dedup multiply.  It catches typical in-place updates (block
-    scaling, refreshed interaction tensors); pathological edits that
-    preserve the sampled sums need an explicit ``invalidate``.
-    """
-    flat = blocks.reshape(-1)
-    if flat.size == 0:
-        return (blocks.shape, 0.0, 0.0)
-    stride = max(1, flat.size // 1024)
-    sample = flat[::stride]
-    return (blocks.shape, float(sample.sum()), float(np.abs(sample).sum()))
-
-
 class KernelRegistry:
     """Caches per-``m`` kernel plans and per-matrix views; dispatches
     every product through one validated ``multiply``.
@@ -232,9 +160,6 @@ class KernelRegistry:
         # cached entry also remembers which block array it was built
         # from: replacing A.blocks wholesale invalidates it.
         self._scipy_views: "weakref.WeakKeyDictionary[BCRSMatrix, Tuple[sp.bsr_matrix, int]]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self._dedup_plans: "weakref.WeakKeyDictionary[BCRSMatrix, _DedupPlan]" = (
             weakref.WeakKeyDictionary()
         )
         self._selector = None  # built lazily (imports autotune)
@@ -262,8 +187,7 @@ class KernelRegistry:
         engine name.
 
         ``None`` resolves to :attr:`default_engine`; ``"auto"`` runs the
-        per-machine auto-selection; an unavailable compiled tier
-        (``cgen`` without a toolchain, ``numba`` without the package)
+        per-machine auto-selection; ``cgen`` without a C toolchain
         demotes down the fallback ladder with a one-time warning and a
         recorded ``fallback`` event, so scripts stay portable across
         environments.  An engine quarantined for this shape class is
@@ -281,8 +205,6 @@ class KernelRegistry:
             engine = self._fallback(
                 engine, kernels_cgen.unavailable_reason() or "no C toolchain"
             )
-        elif engine == "numba" and not kernels_numba.available():
-            engine = self._fallback(engine, "numba is not installed")
         if self.watch.has_quarantines:
             shape = shape_class(A, m)
             if self.watch.is_quarantined(engine, shape):
@@ -312,12 +234,10 @@ class KernelRegistry:
     def _demote(self, engine: str, shape: str) -> str:
         """The next trustworthy rung below ``engine`` for ``shape``.
 
-        ``scipy`` is the ladder's final rung; below it only the
-        reference engine remains, which is always available and can
-        never be quarantined — so demotion always terminates.
+        The ladder ends on the reference engine, which is always
+        available and can never be quarantined — so demotion always
+        terminates.
         """
-        if engine == "scipy":
-            return REFERENCE_ENGINE
         return self.watch.next_rung(engine, set(available_engines()), shape)
 
     # ------------------------------------------------------------------
@@ -348,7 +268,6 @@ class KernelRegistry:
         result is therefore re-pointed at ``A.blocks`` whenever sharing
         was lost, and the cache entry is keyed on the identity of the
         block array so a wholesale ``blocks`` replacement rebuilds it.
-        Use :meth:`invalidate` to drop all cached state for a matrix.
         """
         entry = self._scipy_views.get(A)
         if entry is not None and entry[1] == id(A.blocks):
@@ -368,58 +287,6 @@ class KernelRegistry:
             view.data = A.blocks
         self._scipy_views[A] = (view, id(A.blocks))
         return view
-
-    def dedup_plan(self, A: BCRSMatrix) -> _DedupPlan:
-        """Return (building if needed) the hash-consed block pool of ``A``.
-
-        The plan copies block values, so in-place mutation of
-        ``A.blocks`` makes it stale; a cheap fingerprint re-checked on
-        every dedup multiply catches typical mutations, and
-        :meth:`invalidate` forces a rebuild.
-        """
-        plan = self._dedup_plans.get(A)
-        fp = _blocks_fingerprint(A.blocks)
-        if plan is not None and plan.fingerprint == fp:
-            return plan
-        pool, inverse = A.unique_blocks()
-        n_unique = len(pool)
-        b = A.block_size
-        perm = None
-        group_ptr = None
-        if A.nnzb == 0:
-            mode = "fallback"
-        elif n_unique * A.nb_cols <= DEDUP_EXPANSION_LIMIT * A.nnzb:
-            mode = "gemm"
-        elif n_unique <= DEDUP_MAX_GROUPS:
-            mode = "grouped"
-            perm = np.argsort(inverse, kind="stable")
-            counts = np.bincount(inverse, minlength=n_unique)
-            group_ptr = np.zeros(n_unique + 1, dtype=np.int64)
-            np.cumsum(counts, out=group_ptr[1:])
-        else:
-            mode = "fallback"
-        plan = _DedupPlan(
-            pool=pool,
-            pool_flat=np.ascontiguousarray(pool.reshape(n_unique * b, b)),
-            n_unique=n_unique,
-            inverse=inverse,
-            fingerprint=fp,
-            mode=mode,
-            perm=perm,
-            group_ptr=group_ptr,
-        )
-        self._dedup_plans[A] = plan
-        return plan
-
-    def invalidate(self, A: BCRSMatrix) -> None:
-        """Drop every cached per-matrix artifact for ``A``.
-
-        Call after mutating ``A.blocks`` in place when relying on the
-        dedup engine (the scipy view shares memory and needs no
-        invalidation; the dedup pool holds copies).
-        """
-        self._scipy_views.pop(A, None)
-        self._dedup_plans.pop(A, None)
 
     # ------------------------------------------------------------------
     # multiply
@@ -573,10 +440,6 @@ class KernelRegistry:
             return self._multiply_tiled(A, X, target)
         if engine == "cgen":
             return self._multiply_cgen(A, X, target)
-        if engine == "numba":
-            return self._multiply_numba(A, X, target)
-        if engine == "dedup":
-            return self._multiply_dedup(A, X, target)
         raise ValueError(f"unknown engine {engine!r}")
 
     def _verify_product(
@@ -699,70 +562,6 @@ class KernelRegistry:
             return out
         return Y
 
-    def _multiply_numba(
-        self, A: BCRSMatrix, X: np.ndarray, out: Optional[np.ndarray]
-    ) -> np.ndarray:  # pragma: no cover - needs numba installed
-        m = X.shape[1]
-        Xc = np.ascontiguousarray(X)
-        use_out_directly = out is not None and out.flags["C_CONTIGUOUS"]
-        Y = out if use_out_directly else np.empty((A.n_rows, m))
-        kernels_numba.gspmv_numba(A.row_ptr, A.col_ind, A.blocks, Xc, Y)
-        if out is not None and not use_out_directly:
-            np.copyto(out, Y)
-            return out
-        return Y
-
-    def _multiply_dedup(
-        self, A: BCRSMatrix, X: np.ndarray, out: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Unique-block-pool product (two modes; see :class:`_DedupPlan`).
-
-        ``gemm``: compute ``T = pool @ X^T`` — every unique block
-        against every block column of X — as one DGEMM, then gather
-        each stored block's contribution from ``T``.  Work expands from
-        ``nnzb`` to ``n_unique * nb_cols`` block products, so this mode
-        needs heavy repetition (:data:`DEDUP_EXPANSION_LIMIT`).
-
-        ``grouped``: sort stored blocks by pool row and run one batched
-        GEMM per unique block against the X blocks its occurrences
-        touch — exactly ``nnzb`` block products and only ``n_unique``
-        block reads, at the cost of a Python loop over the pool
-        (:data:`DEDUP_MAX_GROUPS`).
-
-        Anything else delegates to ``tiled``.
-        """
-        plan = self.dedup_plan(A)
-        if plan.mode == "fallback":
-            return self._multiply_tiled(A, X, out)
-        b = A.block_size
-        m = X.shape[1]
-        Xb = np.ascontiguousarray(X).reshape(A.nb_cols, b, m)
-        if plan.mode == "gemm":
-            # (b, nb_cols*m) operand: column j*m+v is X[block j, :, v].
-            X2 = np.ascontiguousarray(Xb.transpose(1, 0, 2)).reshape(
-                b, A.nb_cols * m
-            )
-            T = plan.pool_flat @ X2  # (n_unique * b, nb_cols * m)
-            Tv = T.reshape(plan.n_unique, b, A.nb_cols, m)
-            contrib = Tv[plan.inverse, :, A.col_ind, :]
-        else:
-            contrib = np.empty((A.nnzb, b, m))
-            sorted_cols = A.col_ind[plan.perm]
-            gp = plan.group_ptr
-            for u in range(plan.n_unique):
-                lo, hi = int(gp[u]), int(gp[u + 1])
-                if lo == hi:
-                    continue
-                idx = plan.perm[lo:hi]
-                # (b, b) @ (cnt, b, m) broadcasts to a batched GEMM.
-                contrib[idx] = plan.pool[u] @ Xb[sorted_cols[lo:hi]]
-        Yb = _segment_sum(contrib, A.row_ptr, A.nb_rows)
-        Y = Yb.reshape(A.n_rows, m)
-        if out is not None:
-            np.copyto(out, Y)
-            return out
-        return Y
-
 
 _DEFAULT = KernelRegistry()
 
@@ -777,8 +576,8 @@ def set_default_engine(engine: str) -> str:
 
     Returns the previous default.  ``"auto"`` and every concrete engine
     name are accepted; availability is still checked per call, so
-    setting ``"numba"`` in a numba-less environment degrades down the
-    fallback ladder with a warning rather than failing.
+    setting ``"cgen"`` without a C toolchain degrades down the fallback
+    ladder with a warning rather than failing.
     """
     if engine != "auto" and engine not in ENGINE_NAMES:
         raise ValueError(

@@ -32,7 +32,6 @@ from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.diagnostics import SolveDiagnostics
 from repro.solvers.precond import BlockJacobiPreconditioner
 from repro.sparse.bcrs import BCRSMatrix
-from repro.sparse.kernels import Engine
 from repro.stokesian.brownian import BrownianForceGenerator
 from repro.stokesian.integrators import apply_displacement
 from repro.stokesian.neighbors import NeighborList, neighbor_pairs
@@ -70,8 +69,6 @@ class SDParameters:
     overlap_safety: float = 0.9
     precondition: bool = False
     """Use a block-Jacobi preconditioner in the solves."""
-    engine: Engine = "scipy"
-    """Kernel engine for (G)SPMV."""
     bounds_refresh_steps: int = 50
     """Recompute the Chebyshev spectrum bounds every this many steps.
     Between refreshes the cached bounds (widened by
@@ -454,7 +451,7 @@ class StokesianDynamics:
             ("checkpoint box", box),
         ):
             check_finite(name, arr)
-        self.params = SDParameters(**state["params"])
+        self.params = _params_from_state(state["params"])
         self.system = ParticleSystem(positions=positions, radii=radii, box=box)
         self.rng = rng_from_json(state["rng_state"])
         self._aux_rng = rng_from_json(state["aux_rng_state"])
@@ -483,11 +480,21 @@ class StokesianDynamics:
             positions=state["positions"], radii=state["radii"], box=state["box"]
         )
         driver = cls(
-            system, SDParameters(**state["params"]),
+            system, _params_from_state(state["params"]),
             forces=forces, telemetry=telemetry,
         )
         driver.set_state(state)
         return driver
+
+
+def _params_from_state(params: Dict[str, Any]) -> SDParameters:
+    """Rebuild checkpointed parameters.
+
+    Checkpoints written while ``SDParameters`` still had an ``engine``
+    field carry that key; it is dropped (the kernel engine is chosen
+    process-wide by :func:`repro.sparse.set_default_engine`).
+    """
+    return SDParameters(**{k: v for k, v in params.items() if k != "engine"})
 
 
 # ----------------------------------------------------------------------

@@ -41,9 +41,8 @@ needs_cgen = pytest.mark.skipif(
     not kernels_cgen.available(), reason="no C toolchain"
 )
 
-# The rung every cgen failure lands on in this environment (dedup when
-# numba is absent, numba when present) — computed, not hard-coded, so
-# the campaigns stay valid in both CI legs.
+# The rung every cgen failure lands on (scipy, the next ladder rung) —
+# computed from the ladder rather than hard-coded.
 LANDING = EngineWatch().next_rung("cgen", set(available_engines()))
 
 
@@ -185,21 +184,17 @@ class TestBrokenToolchainCampaigns:
 @needs_cgen
 class TestQuarantineCheckpointRoundTrip:
     def test_quarantine_survives_kill_and_resume(self, tmp_path):
-        """Kill a quarantining run, resume in a 'fresh process' with the
-        fault gone: cgen is healthy again, but the restored quarantine
-        must keep it shut out, so the stitched trajectory still matches
-        a pure landing-engine run bit for bit."""
+        """Kill a quarantining run and resume it in a 'fresh process'.
+        The kernel is still miscompiled after the restart, so the
+        resumed run keeps the corruption armed: the restored quarantine
+        must keep cgen shut out of every shape class it was caught in
+        (no second miscompare there), shape classes first seen after
+        the resume are caught afresh, and the stitched trajectory
+        matches a pure landing-engine run bit for bit."""
         kill_at = 3
         plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    site="engine.multiply",
-                    kind="corrupt",
-                    at={"engine": "cgen"},
-                    times=None,
-                ),
-                FaultSpec(site="runner.abort", at={"step": kill_at}),
-            )
+            specs=corrupt_cgen_plan("corrupt").specs
+            + (FaultSpec(site="runner.abort", at={"step": kill_at}),)
         )
         man = CheckpointManager(tmp_path)
         prev = set_default_engine("cgen")
@@ -224,8 +219,16 @@ class TestQuarantineCheckpointRoundTrip:
             resumed = resume_driver(state)
             assert set(watch.quarantined) == quarantined_before
             assert watch.cadence == 1  # re-armed from the checkpoint
-            ResilientRunner(resumed).run_steps(STEPS - kill_at)
+            ResilientRunner(
+                resumed, injector=corrupt_cgen_plan("corrupt")
+            ).run_steps(STEPS - kill_at)
             final = np.array(resumed.sd.system.positions, copy=True)
+            relapses = [
+                e for e in watch.events
+                if e.kind == "verify_fail"
+                and f"{e.engine}|{e.shape}" in quarantined_before
+            ]
+            assert not relapses
         finally:
             set_default_engine(prev)
             watch.reset()

@@ -67,33 +67,35 @@ def reference(A, X):
 # ----------------------------------------------------------------------
 class TestLadder:
     def test_ladder_order_and_reference(self):
-        assert FALLBACK_LADDER == (
-            "cgen", "numba", "dedup", "tiled", "blocked", "scipy"
-        )
-        assert REFERENCE_ENGINE in FALLBACK_LADDER
+        assert FALLBACK_LADDER == ("cgen", "scipy", "blocked")
+        # The reference engine is the floor.
+        assert FALLBACK_LADDER[-1] == REFERENCE_ENGINE
 
     def test_next_rung_skips_unavailable(self):
         watch = EngineWatch()
-        rung = watch.next_rung("cgen", {"dedup", "tiled", "blocked"})
-        assert rung == "dedup"
-        rung = watch.next_rung("cgen", {"tiled", "blocked"})
-        assert rung == "tiled"
+        everything = {"blocked", "tiled", "scipy", "cgen"}
+        assert watch.next_rung("cgen", everything) == "scipy"
+        assert watch.next_rung("scipy", everything) == "blocked"
+        assert watch.next_rung("cgen", {"tiled", "blocked"}) == "blocked"
+        # tiled is selectable but off the ladder: it demotes to scipy,
+        # never up to cgen.
+        assert watch.next_rung("tiled", everything) == "scipy"
 
     def test_next_rung_skips_quarantined_for_shape(self):
         watch = EngineWatch()
-        watch.quarantine("dedup", "s1")
+        watch.quarantine("scipy", "s1")
         assert watch.next_rung(
-            "numba", {"dedup", "tiled", "blocked"}, "s1"
-        ) == "tiled"
-        # Other shape classes still trust dedup.
+            "cgen", {"scipy", "tiled", "blocked"}, "s1"
+        ) == "blocked"
+        # Other shape classes still trust scipy.
         assert watch.next_rung(
-            "numba", {"dedup", "tiled", "blocked"}, "s2"
-        ) == "dedup"
+            "cgen", {"scipy", "tiled", "blocked"}, "s2"
+        ) == "scipy"
 
     def test_exhausted_ladder_records_fatal_and_raises(self):
         watch = EngineWatch()
         with pytest.raises(LadderExhausted):
-            watch.next_rung("scipy", set(AVAILABLE))
+            watch.next_rung("blocked", set(AVAILABLE))
         assert watch.counts.get("ladder_exhausted") == 1
         assert watch.events[-1].kind == "ladder_exhausted"
 
@@ -118,10 +120,10 @@ class TestLadder:
         watch.quarantine("cgen", "s1")
         state = watch.to_state()
         other = EngineWatch()
-        other.quarantine("numba", "s2")
+        other.quarantine("tiled", "s2")
         other.load_state(state)
         assert other.is_quarantined("cgen", "s1")
-        assert other.is_quarantined("numba", "s2")
+        assert other.is_quarantined("tiled", "s2")
         # An unconfigured process adopts the checkpointed cadence ...
         assert other.cadence == 8
         # ... but an explicitly configured one keeps its own.
@@ -183,6 +185,14 @@ class TestVerificationBookkeeping:
 class TestWatchedDispatch:
     def test_injected_raise_demotes_and_still_answers(self, A, X):
         reg = KernelRegistry()
+        dispatched = []
+        raw_dispatch = reg._dispatch
+
+        def spy(A_, X_, target, engine):
+            dispatched.append(engine)
+            return raw_dispatch(A_, X_, target, engine)
+
+        reg._dispatch = spy
         spec = FaultSpec(
             site="engine.multiply", kind="raise",
             at={"engine": "tiled"}, times=None,
@@ -191,6 +201,8 @@ class TestWatchedDispatch:
             Y = reg.multiply(A, X, engine="tiled")
         np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
         assert reg.watch.counts["engine_failure"] >= 1
+        # tiled is off the ladder; its failure lands on scipy.
+        assert dispatched == ["tiled", "scipy"]
         # A demotion is not a quarantine: tiled stays trusted.
         assert not reg.watch.has_quarantines
 
@@ -333,6 +345,7 @@ class TestCgenPipeline:
             np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
             assert any("cgen" in str(w.message) for w in caught)
             assert reg.watch.counts.get("fallback") == 1
+            assert reg.resolve_engine(A, X.shape[1], "cgen") == "scipy"
         finally:
             kernels_cgen._reset()
 
@@ -423,7 +436,7 @@ class TestAutotuneHardening:
         engine = sel.select(A, 4)
         assert engine in AVAILABLE
         assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
-        # Rebuilt file is valid v2.
+        # Rebuilt file carries the current schema.
         data = json.loads(path.read_text(encoding="utf-8"))
         assert data["schema"] == SCHEMA_VERSION
 
@@ -435,6 +448,36 @@ class TestAutotuneHardening:
         sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
         assert sel.select(A, 4) in AVAILABLE
         assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
+
+    def test_v2_verdict_naming_removed_engine_is_retuned(
+        self, A, X, tmp_path
+    ):
+        """A valid, checksummed v2 file whose winner is the removed
+        ``dedup`` engine is discarded, and ``auto`` still resolves."""
+        reg = KernelRegistry()
+        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
+        reg._selector = sel
+        key = sel.shape_key(A, X.shape[1])
+        record = {
+            "engine": "dedup",
+            "timings": {"dedup": 1e-6, "scipy": 1e-3},
+            "key": key,
+            "fingerprint": host_fingerprint(),
+        }
+        record["checksum"] = _entry_checksum(record)
+        path = tmp_path / CACHE_FILENAME
+        path.write_text(
+            json.dumps({"schema": 2, "entries": {key: record}}),
+            encoding="utf-8",
+        )
+        assert SCHEMA_VERSION > 2
+        Y = reg.multiply(A, X, engine="auto")
+        np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
+        assert reg.resolve_engine(A, X.shape[1], "auto") in AVAILABLE
+        assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert data["schema"] == SCHEMA_VERSION
+        assert data["entries"][key]["engine"] in AVAILABLE
 
     def test_checksum_mismatch_entry_is_skipped(self, A, tmp_path):
         reg, sel = self._tuned_selector(A, tmp_path)

@@ -303,6 +303,42 @@ class TestBitExactResume:
             total += driver.pending.k
         assert total == N_STEPS
 
+    @pytest.mark.parametrize(
+        "make", [_sd_driver, _mrhs_driver], ids=["sd", "mrhs"]
+    )
+    def test_resume_drops_removed_engine_param(self, tmp_path, make):
+        """Checkpoints written while ``SDParameters`` had an ``engine``
+        field carry ``params["engine"]``; they still resume, through
+        both ``from_state`` and ``set_state``, bit-identically."""
+        full = ResilientRunner(make())
+        full.run_steps(N_STEPS)
+
+        man = CheckpointManager(tmp_path)
+        killed = ResilientRunner(
+            make(),
+            manager=man,
+            checkpoint_every=1,
+            injector=FaultPlan(
+                specs=(FaultSpec(site="runner.abort", at={"step": 3}),)
+            ),
+        )
+        with pytest.raises(SimulationKilled):
+            killed.run_steps(N_STEPS)
+        state, _, _ = man.load_latest()
+        sd_state = state["sd"] if state["kind"] == "mrhs" else state
+        sd_state["params"]["engine"] = "scipy"
+        man.save(state, step=3)
+
+        resumed = resume_driver(man.load_latest()[0])
+        live = make()
+        live.set_state(man.load_latest()[0])
+        reference = getattr(full.driver, "sd", full.driver).system.positions
+        for driver in (resumed, live):
+            ResilientRunner(driver).run_steps(N_STEPS - 3)
+            sd = getattr(driver, "sd", driver)
+            assert not hasattr(sd.params, "engine")
+            assert np.array_equal(sd.system.positions, reference)
+
     def test_resume_driver_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown checkpoint kind"):
             resume_driver({"kind": "mystery"})

@@ -33,7 +33,7 @@ from repro.sparse.autotune import CACHE_FILENAME, AutoSelector
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.convert import bcrs_to_scipy
 from repro.sparse.gspmv import gspmv, gspmv_into
-from repro.sparse.kernels import KernelRegistry, kernels_cgen, kernels_numba
+from repro.sparse.kernels import KernelRegistry, kernels_cgen
 from repro.telemetry import TelemetryHub
 from tests.conftest import random_bcrs
 
@@ -41,8 +41,8 @@ AVAILABLE = available_engines()
 
 
 def pooled_bcrs(nb=24, n_unique=4, seed=0):
-    """A banded matrix whose blocks all come from a small pool (the
-    dedup engine's target structure)."""
+    """A banded matrix whose blocks all come from a small pool (exact
+    repeated blocks, as in regular packings)."""
     rng = np.random.default_rng(seed)
     pool = rng.standard_normal((n_unique, 3, 3))
     rows, cols, blocks = [], [], []
@@ -129,13 +129,6 @@ class TestScipyViewStaleness:
         v2 = reg.scipy_view(small_bcrs)
         assert v2 is not v1
         assert np.shares_memory(v2.data, small_bcrs.blocks)
-
-    def test_invalidate_drops_cached_state(self, small_bcrs):
-        reg = KernelRegistry()
-        v1 = reg.scipy_view(small_bcrs)
-        reg.dedup_plan(small_bcrs)
-        reg.invalidate(small_bcrs)
-        assert reg.scipy_view(small_bcrs) is not v1
 
 
 class TestOutAliasing:
@@ -224,86 +217,23 @@ class TestEngineResolution:
         with pytest.raises(ValueError, match="engine"):
             set_default_engine("cuda")
 
-    @pytest.mark.skipif(
-        kernels_numba.available(), reason="numba installed: no fallback"
-    )
-    def test_unavailable_numba_falls_back_with_warning(self, small_bcrs):
+    def test_unavailable_cgen_falls_back_with_warning(
+        self, small_bcrs, monkeypatch
+    ):
+        monkeypatch.setattr(kernels_cgen, "available", lambda: False)
+        monkeypatch.setattr(
+            kernels_cgen, "unavailable_reason", lambda: "no compiler"
+        )
         reg = KernelRegistry()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert reg.resolve_engine(small_bcrs, 4, "numba") == "dedup"
-        assert any("numba" in str(w.message) for w in caught)
+            assert reg.resolve_engine(small_bcrs, 4, "cgen") == "scipy"
+        assert any("cgen" in str(w.message) for w in caught)
         # warned once, not per call
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            reg.resolve_engine(small_bcrs, 4, "numba")
+            reg.resolve_engine(small_bcrs, 4, "cgen")
         assert not caught
-
-    @pytest.mark.skipif(
-        not kernels_numba.available(), reason="numba not installed"
-    )
-    def test_numba_available_resolves_to_itself(
-        self, small_bcrs
-    ):  # pragma: no cover - exercised in the numba CI leg
-        reg = KernelRegistry()
-        assert reg.resolve_engine(small_bcrs, 4, "numba") == "numba"
-
-
-class TestDedupEngine:
-    def test_unique_blocks_roundtrip(self):
-        A = pooled_bcrs(n_unique=3)
-        pool, inverse = A.unique_blocks()
-        assert len(pool) <= 3
-        np.testing.assert_array_equal(pool[inverse], A.blocks)
-
-    def test_grouped_mode_on_pooled_band(self):
-        # Banded: expansion fails (n_unique*nb_cols > nnzb) but the
-        # pool is tiny -> grouped per-unique batched GEMM.
-        A = pooled_bcrs(nb=40, n_unique=6)
-        reg = KernelRegistry()
-        assert reg.dedup_plan(A).mode == "grouped"
-        X = np.random.default_rng(5).standard_normal((A.n_cols, 8))
-        np.testing.assert_allclose(
-            reg.multiply(A, X, engine="dedup"),
-            bcrs_to_scipy(A) @ X,
-            rtol=1e-11,
-        )
-
-    def test_gemm_mode_on_dense_pooled(self):
-        rng = np.random.default_rng(6)
-        pool = rng.standard_normal((2, 3, 3))
-        rows = [i for i in range(6) for _ in range(6)]
-        cols = list(range(6)) * 6
-        blocks = np.array([pool[(r * c) % 2] for r, c in zip(rows, cols)])
-        A = BCRSMatrix.from_block_coo(6, 6, rows, cols, blocks)
-        reg = KernelRegistry()
-        assert reg.dedup_plan(A).mode == "gemm"
-        X = rng.standard_normal((A.n_cols, 4))
-        np.testing.assert_allclose(
-            reg.multiply(A, X, engine="dedup"),
-            bcrs_to_scipy(A) @ X,
-            rtol=1e-11,
-        )
-
-    def test_unique_heavy_matrix_falls_back(self):
-        A = random_bcrs(40, 8.0, seed=7)  # every block distinct
-        reg = KernelRegistry()
-        assert reg.dedup_plan(A).mode == "fallback"
-        X = np.random.default_rng(7).standard_normal((A.n_cols, 3))
-        np.testing.assert_allclose(
-            reg.multiply(A, X, engine="dedup"),
-            bcrs_to_scipy(A) @ X,
-            rtol=1e-11,
-        )
-
-    def test_fingerprint_catches_inplace_mutation(self):
-        A = pooled_bcrs(nb=30)
-        reg = KernelRegistry()
-        X = np.random.default_rng(8).standard_normal((A.n_cols, 4))
-        before = reg.multiply(A, X, engine="dedup")
-        A.blocks[:] *= 2.0
-        after = reg.multiply(A, X, engine="dedup")
-        np.testing.assert_allclose(after, 2.0 * before, rtol=1e-11)
 
 
 class TestAutoSelector:
@@ -429,13 +359,6 @@ class TestEngineProfiles:
         slow = GspmvTimeModel(small_bcrs, WESTMERE, profile=half)
         assert slow.time(8) == pytest.approx(2.0 * base.time(8))
 
-    def test_dedup_traffic_discount_reduces_tbw(self):
-        lean = EngineProfile("dedup", block_traffic_scale=0.1)
-        full = EngineProfile("dedup")
-        assert lean.time_bandwidth(
-            self.SHAPE, 1, WESTMERE
-        ) < full.time_bandwidth(self.SHAPE, 1, WESTMERE)
-
     def test_mrhs_model_regimes_stay_exact_with_profile(self, spd_bcrs):
         counts = SolverCounts(n_noguess=40, n_first=20, n_second=10)
         prof = EngineProfile("cgen", bw_scale=0.6, flop_scale=3.0)
@@ -454,5 +377,3 @@ class TestEngineProfiles:
     def test_invalid_profile_rejected(self):
         with pytest.raises(ValueError):
             EngineProfile("x", bw_scale=0.0)
-        with pytest.raises(ValueError):
-            EngineProfile("x", block_traffic_scale=1.5)

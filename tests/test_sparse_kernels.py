@@ -12,8 +12,7 @@ from repro.sparse import available_engines
 from tests.conftest import random_bcrs
 
 # Every concrete engine present in this environment (cgen needs a C
-# toolchain, numba the optional dependency); test_sparse_engines.py
-# holds the deeper per-engine suites.
+# toolchain); test_sparse_engines.py holds the deeper per-engine suites.
 ENGINES = list(available_engines())
 
 
