@@ -109,8 +109,9 @@ class ResilientRunner:
         Recovery policies (see :mod:`repro.resilience.policies`).
     manager:
         Optional checkpoint manager; with ``checkpoint_every > 0`` a
-        checkpoint is written every that many completed steps (and once
-        more when the run finishes).
+        checkpoint is written every that many completed steps, and each
+        :meth:`run_steps` call checkpoints the step it returns at (once:
+        a step the cadence just wrote is not written again).
     injector:
         Optional fault plan/injector armed for the duration of each
         :meth:`run_steps` call.
@@ -190,6 +191,7 @@ class ResilientRunner:
         self.memory_guard = memory_guard
         self.recovery_policy = recovery
         self._streak = 0
+        self._saved_step: Optional[int] = None
         if self._distributed:
             # No dt to back off and no particle screen: the distributed
             # accept/reject loop is RankFailure -> recover/degrade.
@@ -231,16 +233,25 @@ class ResilientRunner:
         sd.params = replace(sd.params, dt=dt)
 
     # ------------------------------------------------------------------
-    def run_steps(self, n_steps: int) -> RunReport:
+    def run_steps(
+        self, n_steps: int, *, stop_after: Optional[int] = None
+    ) -> RunReport:
         """Advance ``n_steps`` healthy time steps (retries don't count).
 
         The final MRHS chunk is truncated so exactly ``n_steps`` steps
         run.  Chunk boundaries shape the block-solve guesses, so a
         trajectory is bit-reproducible only across runs targeting the
-        same total step count: kill-and-resume toward one target is
-        bit-exact, but ``run_steps(5)`` followed by ``run_steps(3)``
-        chunks ``4+1+3`` and will not bit-match a single
-        ``run_steps(8)`` (``4+4``).
+        same total step count: ``run_steps(5)`` followed by
+        ``run_steps(3)`` chunks ``4+1+3`` and will not bit-match a
+        single ``run_steps(8)`` (``4+4``).
+
+        ``stop_after`` slices such a run without changing it: chunks
+        are still planned toward ``n_steps``, but the call returns
+        after ``stop_after`` healthy steps (after that step's cadence
+        checkpoint, before its ``runner.abort`` poll), with the stop
+        point checkpointed like any finish.  ``run_steps(8,
+        stop_after=3)`` then ``run_steps(5)`` bit-matches
+        ``run_steps(8)``; so does kill-and-resume toward one target.
 
         Raises :class:`ResilienceExhausted` when a retry or degradation
         budget runs out, and :class:`SimulationKilled` when an armed
@@ -249,7 +260,11 @@ class ResilientRunner:
         """
         if n_steps < 0:
             raise ValueError("n_steps must be non-negative")
+        if stop_after is not None and stop_after < 0:
+            raise ValueError("stop_after must be non-negative")
+        stop = n_steps if stop_after is None else min(stop_after, n_steps)
         report = RunReport(final_dt=self._dt())
+        self._saved_step = None
         armed_here = self.injector is not None
         if armed_here:
             arm(self.injector)
@@ -261,7 +276,7 @@ class ResilientRunner:
         run_id = ambient.get("run_id") or _obs.next_run_id()
         with _obs.scope(run_id=run_id):
             try:
-                while report.steps_completed < n_steps:
+                while report.steps_completed < stop:
                     # Stamp before the chunk solve too, so engine events
                     # fired by block-solve multiplies carry a step index.
                     self._watch.current_step = self.step_index
@@ -274,6 +289,9 @@ class ResilientRunner:
                     self._attempt_step(report)
                     report.steps_completed += 1
                     self._after_healthy_step(report)
+                    if report.steps_completed == stop < n_steps:
+                        break  # the final checkpoint below is the stop point
+                    self._poll_after_step()
                 if self.manager is not None:
                     self._save_checkpoint(report)
             finally:
@@ -424,14 +442,17 @@ class ResilientRunner:
             report.dt_heals += 1
             self._streak = 0
             logger.info("healthy streak: dt healed to %.3g", healed)
-        # Checkpoint cadence, then the simulated-kill site (in that
-        # order, so a killed run always has a checkpoint at or after
-        # the last cadence boundary).
+        # Checkpoint cadence before the simulated-kill site, so a
+        # killed run always has a checkpoint at or after the last
+        # cadence boundary.
         if (
             self.checkpoint_every
             and self.step_index % self.checkpoint_every == 0
         ):
             self._save_checkpoint(report)
+
+    def _poll_after_step(self) -> None:
+        """The between-steps polls: simulated kill, memory, export."""
         fault = fire_fault("runner.abort", step=self.step_index)
         if fault is not None:
             raise SimulationKilled(
@@ -451,6 +472,9 @@ class ResilientRunner:
         if rss is None:
             return
         watermark = self.memory_guard.watermark_bytes
+        # The breach lands in state a checkpoint carries (health report,
+        # counters): let the final save rewrite this step.
+        self._saved_step = None
         logger.warning(
             "resident memory %d bytes crossed the %d-byte watermark at "
             "step %d", rss, watermark, self.step_index,
@@ -478,6 +502,9 @@ class ResilientRunner:
             )
 
     def _save_checkpoint(self, report: RunReport) -> None:
+        if self._saved_step == self.step_index:
+            return  # the cadence already wrote this step
+        self._saved_step = self.step_index
         state = self.driver.get_state()
         if self.monitor is not None:
             state["health"] = self.monitor.report.to_state()
@@ -493,8 +520,7 @@ class ResilientRunner:
             telemetry.flush()
             state["telemetry"] = telemetry.metrics.to_state()
         path = self.manager.save_async(state, step=self.step_index)
-        if not report.checkpoints or report.checkpoints[-1] != path:
-            report.checkpoints.append(path)
+        report.checkpoints.append(path)
         hub = _telemetry.active_hub
         if hub is not None:
             hub.emit_event(

@@ -269,13 +269,13 @@ class JobJournal:
             raise ManagerKilled(
                 "manager killed after snapshot verify, before swap"
             )
+        # Imported here, not at module top, as in the telemetry
+        # exporter: repro.io pulls in the whole repro package root.
+        from repro.io import fsync_dir
+
         self.close()
         os.replace(tmp, self.path)
-        dir_fd = os.open(self.path.parent or Path("."), os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
+        fsync_dir(self.path)
         self._seq = 1
         if kill_after_replace:
             raise ManagerKilled("manager killed after compaction swap")

@@ -12,10 +12,10 @@ and runs an in-process scheduler loop over submitted
   fit) and at schedule time (aggregate memory budget) — rejected and
   waiting jobs each carry an explicit reason;
 * **priority with aging** so low-priority jobs cannot starve;
-* **checkpoint-backed preemption**: a long job past its quantum is
-  killed at an exact step boundary (the proven bit-exact resume path)
-  and later resumes toward the *same* total step target, so its
-  trajectory bit-matches an uninterrupted run;
+* **checkpoint-backed preemption**: a long job's slice stops after
+  its quantum of steps, checkpointed, while its chunks stay planned
+  toward the *same* total step target, so its trajectory bit-matches
+  an uninterrupted run;
 * **retry with seeded-jitter exponential backoff** (in clock ticks)
   after worker crashes, bounded by ``max_attempts``;
 * **overload shedding** that only ever drops never-admitted jobs.
@@ -176,23 +176,16 @@ class ServiceInjector(FaultInjector):
     """The manager's single armed injector.
 
     Per-job runners poll the *global* armed injector, so this class is
-    where service semantics attach to the generic ``runner.abort``
-    poll that fires after every healthy step:
-
-    1. a pending **preemption target** returns a kill spec at the
-       exact step boundary the scheduler chose;
-    2. otherwise the poll is *translated* into a
-       ``service.worker_crash`` fire with the running job's id, so
-       campaign specs can crash a worker mid-slice deterministically;
-    3. otherwise it falls through to plain ``runner.abort`` specs —
-       which the manager interprets as its *own* death mid-run.
-
-    :meth:`take_control_kind` tells the manager which of the three
-    produced the :class:`~repro.resilience.faults.SimulationKilled` it
-    just caught.
+    where service semantics attach to the generic ``runner.abort`` poll
+    that fires after every healthy step: while a job runs, the poll is
+    first *translated* into a ``service.worker_crash`` fire with the
+    running job's id, so campaign specs can crash a worker mid-slice
+    deterministically; otherwise it falls through to plain
+    ``runner.abort`` specs — which the manager interprets as its *own*
+    death mid-run.  :meth:`take_worker_crash` tells the manager which
+    of the two produced the
+    :class:`~repro.resilience.faults.SimulationKilled` it just caught.
     """
-
-    _PREEMPT = FaultSpec(site="runner.abort", times=None)
 
     def __init__(
         self,
@@ -200,43 +193,25 @@ class ServiceInjector(FaultInjector):
     ) -> None:
         super().__init__(plan if plan is not None else FaultPlan())
         self.current_job: Optional[int] = None
-        self.preempt_at: Optional[int] = None
-        self._control: Optional[str] = None
+        self._worker_crash = False
 
     def fire(self, site: str, **context: int) -> Optional[FaultSpec]:
         if site == "runner.abort":
-            step = context.get("step")
-            if self.preempt_at is not None and step == self.preempt_at:
-                self.preempt_at = None
-                self._control = "preempt"
-                self.events.append(
-                    FaultEvent(
-                        site="service.preempt",
-                        context={
-                            "job": -1 if self.current_job is None
-                            else self.current_job,
-                            "step": int(step or 0),
-                        },
-                        spec_index=-1,
-                        fire_number=1,
-                    )
-                )
-                return self._PREEMPT
+            self._worker_crash = False
             if self.current_job is not None:
                 spec = super().fire(
                     "service.worker_crash",
                     job=self.current_job,
-                    step=int(step or 0),
+                    step=int(context.get("step") or 0),
                 )
                 if spec is not None:
-                    self._control = "worker_crash"
+                    self._worker_crash = True
                     return spec
-            self._control = None
         return super().fire(site, **context)
 
-    def take_control_kind(self) -> Optional[str]:
-        kind, self._control = self._control, None
-        return kind
+    def take_worker_crash(self) -> bool:
+        crashed, self._worker_crash = self._worker_crash, False
+        return crashed
 
 
 def replay_records(
@@ -384,7 +359,6 @@ class JobManager:
             # spent across kill/restart cycles.
             self.injector = fault_plan
             self.injector.current_job = None
-            self.injector.preempt_at = None
         else:
             self.injector = ServiceInjector(fault_plan)
         self.jobs: Dict[int, JobRecord] = {}
@@ -835,8 +809,6 @@ class JobManager:
             )
         job.transition(JobState.RUNNING)
         remaining = job.spec.steps - from_step
-        if cfg.quantum and remaining > cfg.quantum:
-            self.injector.preempt_at = from_step + cfg.quantum
         self.injector.current_job = job.job_id
         # One correlation scope per dispatch: every span, health
         # verdict, fault and engine event the slice produces joins back
@@ -856,13 +828,9 @@ class JobManager:
                 with self.hub.tracer.span(
                     "service.slice", job=job.spec.name, dispatch=dispatch
                 ):
-                    worker.run(remaining)
+                    worker.run(remaining, stop_after=cfg.quantum or None)
         except SimulationKilled as exc:
-            control = self.injector.take_control_kind()
-            if control == "preempt":
-                self._preempt(job, worker)
-                return
-            if control == "worker_crash":
+            if self.injector.take_worker_crash():
                 self._crash(job, reason=str(exc))
                 return
             # Untranslated runner.abort: the *manager* dies mid-run.
@@ -874,8 +842,10 @@ class JobManager:
             self._crash(job, reason=f"resilience exhausted: {exc}")
             return
         finally:
-            self.injector.preempt_at = None
             self.injector.current_job = None
+        if worker.step_index < job.spec.steps:
+            self._preempt(job, worker)
+            return
         # Slice ran to the job's total target: it is done.
         job.steps_done = worker.step_index
         self.clock.advance(max(1, job.steps_done - from_step))
@@ -907,10 +877,10 @@ class JobManager:
             )
 
     def _preempt(self, job: JobRecord, worker: JobWorker) -> None:
-        # Checkpoint *before* journaling: if the append kills the
-        # manager, replay rewinds the job to ADMITTED and the resume
-        # point is this checkpoint either way.
-        worker.checkpoint_now()
+        # The slice's final checkpoint is on disk before this journal
+        # append: if the append kills the manager, replay rewinds the
+        # job to ADMITTED and the resume point is that checkpoint
+        # either way.
         job.steps_done = worker.step_index
         job.preemptions += 1
         self.clock.advance(max(1, self.config.quantum))

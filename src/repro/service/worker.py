@@ -4,11 +4,12 @@ A :class:`JobWorker` owns everything one job needs to run, die, and
 resume — the per-job :class:`~repro.resilience.checkpoint.CheckpointManager`
 directory and (while warm) a live driver wrapped in a
 :class:`~repro.resilience.runner.ResilientRunner`.  The manager only
-ever asks it to *run toward the job's total step count*: preemption and
-crashes are simulated kills inside ``run_steps``, which is the one
-resume path proven bit-exact against a solo run (chunk boundaries
-depend on the remaining-step target, so slicing with small
-``run_steps`` calls would change the trajectory).
+ever asks it to *run toward the job's total step count*, optionally
+stopping after a quantum of steps: chunk boundaries depend on the
+remaining-step target, so slicing with small ``run_steps`` calls would
+change the trajectory, while ``run_steps(remaining, stop_after=q)``
+keeps it bit-identical to a solo run.  Crashes are simulated kills
+inside ``run_steps``.
 
 Workers run with :data:`~repro.telemetry.NULL_HUB`; service-level
 telemetry (queue wait, retries, preemptions) lives at the manager.
@@ -115,18 +116,14 @@ class JobWorker:
         return self._runner is not None
 
     # ------------------------------------------------------------------
-    def run(self, n_steps: int) -> RunReport:
-        """Advance ``n_steps`` healthy steps (may raise
-        :class:`~repro.resilience.faults.SimulationKilled` when the
-        manager's injector preempts or crash-kills this slice)."""
-        return self.runner.run_steps(n_steps)
-
-    def checkpoint_now(self) -> Path:
-        """Synchronously checkpoint the live driver (preemption path)."""
-        runner = self.runner
-        return self.checkpoints.save(
-            runner.driver.get_state(), step=runner.step_index
-        )
+    def run(
+        self, n_steps: int, *, stop_after: Optional[int] = None
+    ) -> RunReport:
+        """Advance toward ``n_steps`` more healthy steps, returning
+        checkpointed after ``stop_after`` of them (preemption).  May
+        raise :class:`~repro.resilience.faults.SimulationKilled` when
+        the manager's injector crash-kills this slice."""
+        return self.runner.run_steps(n_steps, stop_after=stop_after)
 
     def discard(self) -> None:
         """Simulate worker death: drop the in-memory driver.  The next

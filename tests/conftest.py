@@ -1,4 +1,5 @@
-"""Shared fixtures: small random BCRS matrices and particle systems."""
+"""Shared fixtures: small random BCRS matrices and particle systems,
+and a spy on checkpoint writes."""
 
 import numpy as np
 import pytest
@@ -61,3 +62,20 @@ def small_csr(small_bcrs):
     from repro.sparse.convert import bcrs_to_scipy
 
     return bcrs_to_scipy(small_bcrs, "csr")
+
+
+@pytest.fixture
+def checkpoint_saves(monkeypatch):
+    """The step of every ``CheckpointManager.save``, in call order
+    (async writes included: the writer thread calls ``save``)."""
+    from repro.resilience.checkpoint import CheckpointManager
+
+    steps = []
+    real_save = CheckpointManager.save
+
+    def spy(self, state, *, step):
+        steps.append(step)
+        return real_save(self, state, step=step)
+
+    monkeypatch.setattr(CheckpointManager, "save", spy)
+    return steps

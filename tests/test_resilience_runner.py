@@ -19,6 +19,7 @@ from repro.resilience import (
     ResilientRunner,
     RetryPolicy,
     SimulationKilled,
+    resume_driver,
 )
 from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
@@ -167,6 +168,17 @@ class TestCheckpointCadence:
         state, meta, _ = man.load_latest()
         assert meta["step"] == 2
 
+    def test_each_step_checkpointed_once(self, tmp_path, checkpoint_saves):
+        """The finish coincides with a cadence step: one write, not
+        two."""
+        runner = ResilientRunner(
+            _mrhs(),
+            manager=CheckpointManager(tmp_path),
+            checkpoint_every=2,
+        )
+        runner.run_steps(16)
+        assert checkpoint_saves == [2, 4, 6, 8, 10, 12, 14, 16]
+
     def test_checkpoint_every_requires_manager(self):
         with pytest.raises(ValueError, match="requires a CheckpointManager"):
             ResilientRunner(_sd(), checkpoint_every=2)
@@ -174,6 +186,51 @@ class TestCheckpointCadence:
     def test_rejects_non_driver(self):
         with pytest.raises(TypeError, match="driver must be"):
             ResilientRunner(object())
+
+
+def _positions_after(runs, target, **runner_kw):
+    """Positions after ``runs`` — a list of ``(n_steps, stop_after)``
+    calls on one runner — from the same fresh m=4 driver."""
+    runner = ResilientRunner(_mrhs(), **runner_kw)
+    for n_steps, stop_after in runs:
+        runner.run_steps(n_steps, stop_after=stop_after)
+    assert runner.step_index == target
+    return runner.driver.sd.system.positions.copy()
+
+
+class TestStopAfter:
+    """``stop_after`` slices a run without changing its trajectory:
+    chunks stay planned toward the whole target."""
+
+    @pytest.mark.parametrize("target", [8, 6])  # chunks 4+4 and 4+2
+    def test_sliced_run_bit_matches_whole_run(self, target):
+        whole = _positions_after([(target, None)], target)
+        sliced = _positions_after(
+            [(target, 3), (target - 3, None)], target
+        )
+        np.testing.assert_array_equal(sliced, whole)
+
+    def test_cold_resume_from_stop_point_bit_matches(self, tmp_path):
+        man = CheckpointManager(tmp_path)
+        runner = ResilientRunner(_mrhs(), manager=man, checkpoint_every=2)
+        report = runner.run_steps(8, stop_after=3)
+        assert report.steps_completed == 3 and runner.step_index == 3
+        state, meta, _ = man.load_latest()
+        assert meta["step"] == 3
+        resumed = ResilientRunner(resume_driver(state))
+        resumed.run_steps(5)
+        np.testing.assert_array_equal(
+            resumed.driver.sd.system.positions,
+            _positions_after([(8, None)], 8),
+        )
+
+    def test_stop_at_or_past_target_is_a_whole_run(self):
+        whole = _positions_after([(4, None)], 4)
+        np.testing.assert_array_equal(_positions_after([(4, 9)], 4), whole)
+
+    def test_negative_stop_after_rejected(self):
+        with pytest.raises(ValueError, match="stop_after"):
+            ResilientRunner(_sd()).run_steps(4, stop_after=-1)
 
 
 class TestCheckpointOverhead:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
-from repro.resilience import ResilientRunner
+from repro.resilience import CheckpointManager, ResilientRunner
 from repro.service import (
     JobManager,
     JobSpec,
@@ -161,6 +161,37 @@ class TestPreemption:
             mgr.submit(_spec(1, steps=6))
             report = mgr.run()
         assert report.preemptions == 0 and report.completed == 1
+
+    def test_preemption_checkpoint_is_complete(self, tmp_path):
+        """The stop point is checkpointed like any other step: a cold
+        resume from it keeps engine quarantines."""
+        cfg = ServiceConfig(quantum=3, checkpoint_every=2)
+        with JobManager(tmp_path, config=cfg) as mgr:
+            mgr.submit(_spec(1, steps=8))
+            mgr.run(max_ticks=2)  # one slice
+        job = mgr.jobs[1]
+        assert job.state is JobState.PREEMPTED and job.steps_done == 3
+        state, meta, _ = CheckpointManager(
+            tmp_path / "jobs" / "1" / "ckpt"
+        ).load_latest()
+        assert meta["step"] == 3
+        assert "enginewatch" in state
+
+    def test_preemption_is_not_a_fault(self, tmp_path):
+        cfg = ServiceConfig(quantum=2)
+        with JobManager(tmp_path, config=cfg) as mgr:
+            mgr.submit(_spec(1, steps=7))
+            report = mgr.run()
+        assert report.completed == 1 and report.preemptions == 3
+        assert report.faults == []
+
+    def test_each_step_checkpointed_once(self, tmp_path, checkpoint_saves):
+        cfg = ServiceConfig(quantum=4, checkpoint_every=2)
+        with JobManager(tmp_path, config=cfg) as mgr:
+            mgr.submit(_spec(1, steps=16))
+            report = mgr.run()
+        assert report.completed == 1 and report.preemptions == 3
+        assert checkpoint_saves == [2, 4, 6, 8, 10, 12, 14, 16]
 
 
 class TestShedding:
