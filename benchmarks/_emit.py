@@ -67,9 +67,10 @@ def emit_report(
 ) -> List[Path]:
     """Write ``BENCH_<name>.json`` and return the paths written.
 
-    By default the report lands in ``benchmarks/out/``; pass
-    ``out_paths`` to also (or instead) write elsewhere — e.g. the CWD
-    copy the CI jobs upload.
+    By default the report lands in ``benchmarks/out/`` (the committed
+    baselines); pass ``out_paths`` to write elsewhere instead.  Every
+    script's ``main()`` writes only the CWD copy, so a local run never
+    rewrites a baseline.
     """
     doc = bench_document(
         name, config=config, metrics=metrics, timestamp=timestamp,

@@ -38,9 +38,9 @@ from repro.sparse.bcrs import BCRSMatrix
 from repro.telemetry import TelemetryHub
 
 try:
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 N_CAMPAIGNS = 25
 NB = 24
@@ -221,10 +221,7 @@ def main() -> int:
         metrics=metrics,
         timestamp=utc_now(),
         passed=passed,
-        out_paths=[
-            Path("BENCH_distfault.json"),
-            OUT_DIR / "BENCH_distfault.json",
-        ],
+        out_paths=[Path("BENCH_distfault.json")],
     )
     print(
         f"campaigns: {sweep['campaigns_completed']}/{N_CAMPAIGNS} completed, "

@@ -48,10 +48,10 @@ from repro.stokesian.packing import random_configuration
 
 try:
     from benchmarks._cases import scaled_paper_matrix
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
     from _cases import scaled_paper_matrix
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 N, PHI, M, N_STEPS = 24, 0.2, 4, 6
 #: Wrong-result seeds per mutate kind (each seeds the corruption rng).
@@ -240,10 +240,7 @@ def main() -> int:
         metrics=metrics,
         timestamp=utc_now(),
         passed=passed,
-        out_paths=[
-            OUT_DIR / "BENCH_enginefault.json",
-            Path.cwd() / "BENCH_enginefault.json",
-        ],
+        out_paths=[Path.cwd() / "BENCH_enginefault.json"],
     )
     for p in paths:
         print(f"wrote {p}")

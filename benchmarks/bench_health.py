@@ -29,9 +29,9 @@ from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
 
 try:
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 # examples/quickstart.py scale.
 N_PARTICLES = 150
@@ -187,7 +187,7 @@ def main() -> int:
     emit_report(
         "health", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=ok,
-        out_paths=[Path("BENCH_health.json"), OUT_DIR / "BENCH_health.json"],
+        out_paths=[Path("BENCH_health.json")],
     )
     print(json.dumps(results, indent=2, sort_keys=True))
     print("PASS" if ok else "FAIL")

@@ -41,10 +41,10 @@ from repro.telemetry.report import RooflineReport
 
 try:
     from benchmarks._cases import scaled_paper_matrix
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
     from _cases import scaled_paper_matrix
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 M_VALUES = (1, 2, 8, 16)
 #: Calls per (m,) recorded through the telemetry hub for the roofline
@@ -182,7 +182,7 @@ def main() -> int:
         metrics=metrics,
         timestamp=utc_now(),
         passed=passed,
-        out_paths=[Path("BENCH_kernels.json"), OUT_DIR / "BENCH_kernels.json"],
+        out_paths=[Path("BENCH_kernels.json")],
     )
     for m in M_VALUES:
         sel = metrics["selected_engine"][str(m)]

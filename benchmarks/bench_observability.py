@@ -35,9 +35,9 @@ from repro.telemetry import context as obs_context
 from repro.telemetry.events import EVENTS_FILENAME
 
 try:
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 # examples/quickstart.py scale, matching bench_telemetry.py.
 N_PARTICLES = 150
@@ -156,10 +156,7 @@ def main() -> int:
     emit_report(
         "observability", config=CONFIG, metrics=results,
         timestamp=utc_now(), passed=ok,
-        out_paths=[
-            Path("BENCH_observability.json"),
-            OUT_DIR / "BENCH_observability.json",
-        ],
+        out_paths=[Path("BENCH_observability.json")],
     )
     print(json.dumps(results, indent=2, sort_keys=True))
     print("PASS" if ok else "FAIL")

@@ -35,9 +35,9 @@ from repro.stokesian.dynamics import SDParameters
 from repro.stokesian.packing import random_configuration
 
 try:
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 # examples/quickstart.py scale.
 N_PARTICLES = 150
@@ -171,10 +171,7 @@ def main() -> int:
     emit_report(
         "resilience", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=ok,
-        out_paths=[
-            Path("BENCH_resilience.json"),
-            OUT_DIR / "BENCH_resilience.json",
-        ],
+        out_paths=[Path("BENCH_resilience.json")],
     )
     print(json.dumps(results, indent=2, sort_keys=True))
     print("PASS" if ok else "FAIL")

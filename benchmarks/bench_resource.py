@@ -48,9 +48,9 @@ import repro.telemetry as _telemetry
 from repro.telemetry import TelemetryHub
 
 try:
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 N_JOBS = 3
 N_PARTICLES = 128
@@ -303,10 +303,7 @@ def main() -> int:
     emit_report(
         "resource", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=ok,
-        out_paths=[
-            Path("BENCH_resource.json"),
-            OUT_DIR / "BENCH_resource.json",
-        ],
+        out_paths=[Path("BENCH_resource.json")],
     )
     print(json.dumps(results, indent=2, sort_keys=True))
     print("PASS" if ok else "FAIL")

@@ -41,9 +41,9 @@ from repro.stokesian.dynamics import SDParameters
 from repro.stokesian.packing import random_configuration
 
 try:
-    from benchmarks._emit import OUT_DIR, emit_report, utc_now
+    from benchmarks._emit import emit_report, utc_now
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
-    from _emit import OUT_DIR, emit_report, utc_now
+    from _emit import emit_report, utc_now
 
 N_JOBS = 3
 N_PARTICLES = 128
@@ -238,10 +238,7 @@ def main() -> int:
     emit_report(
         "service", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=ok,
-        out_paths=[
-            Path("BENCH_service.json"),
-            OUT_DIR / "BENCH_service.json",
-        ],
+        out_paths=[Path("BENCH_service.json")],
     )
     print(json.dumps(results, indent=2, sort_keys=True))
     print("PASS" if ok else "FAIL")

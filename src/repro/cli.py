@@ -968,10 +968,11 @@ def _cmd_trace(args) -> int:
 
     target = Path(args.run)
     trace_path = target / TRACE_FILENAME if target.is_dir() else target
-    if not trace_path.exists():
+    try:
+        events = read_trace(trace_path)  # every segment of a rotated trace
+    except FileNotFoundError:
         print(f"error: no trace at {trace_path}", file=sys.stderr)
         return 2
-    events = read_trace(trace_path)
     if not events:
         print(f"{trace_path} holds no span events", file=sys.stderr)
         return 2
@@ -1468,7 +1469,9 @@ def _cmd_top(args) -> int:
     import json as _json
     from pathlib import Path
 
+    from repro.resources.rotate import read_jsonl_stream
     from repro.telemetry.events import EVENTS_FILENAME, read_events
+    from repro.telemetry.exporter import STREAM_FILENAME
     from repro.telemetry.report import render_top
 
     directory = Path(args.run)
@@ -1476,7 +1479,6 @@ def _cmd_top(args) -> int:
     def render() -> int:
         metrics = None
         metrics_path = directory / "metrics.json"
-        stream_path = directory / "metrics.jsonl"
         if metrics_path.exists():
             try:
                 metrics = _json.loads(
@@ -1484,20 +1486,14 @@ def _cmd_top(args) -> int:
                 )
             except ValueError:
                 metrics = None  # mid-swap torn read: render without
-        if metrics is None and stream_path.exists():
-            # Fall back to the newest complete line of the history
-            # stream (the same torn-tail tolerance the readers use).
-            lines = stream_path.read_bytes().split(b"\n")
-            for raw in reversed(lines):
-                if not raw.strip():
-                    continue
-                try:
-                    metrics = _json.loads(raw.decode("utf-8"))
-                    break
-                except (ValueError, UnicodeDecodeError):
-                    continue
-        events_path = directory / EVENTS_FILENAME
-        events = read_events(events_path) if events_path.exists() else []
+        if metrics is None:
+            # Fall back to the newest valid snapshot of the (possibly
+            # rotated) history stream.
+            history, _ = read_jsonl_stream(
+                directory / STREAM_FILENAME, _json.loads
+            )
+            metrics = history[-1] if history else None
+        events = read_events(directory / EVENTS_FILENAME)
         print(render_top(metrics, events, tail=args.events, title=args.run))
         return 0
 

@@ -5,23 +5,20 @@ matrices, packed configurations that took minutes to relax) can be
 built once and reused across benchmark sessions or shared between
 machines.
 
-All writers go through :func:`atomic_savez`: the archive is written to
-a temporary file in the destination directory, flushed to disk, and
-moved into place with ``os.replace`` — a crash mid-write can never
-leave a truncated, unloadable file under the destination name (the
-resilience layer's checkpoints depend on the same guarantee).
+All writers (:func:`atomic_savez`, :func:`atomic_write_text`) go
+through :func:`repro.durable.publish`, so a crash mid-write never
+leaves a truncated file under the destination name — the guarantee the
+resilience layer's checkpoints depend on.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from repro.resources.iofaults import check_io_faults
+from repro.durable import fsync_dir, publish
 from repro.sparse.bcrs import BCRSMatrix
 from repro.stokesian.particles import ParticleSystem
 
@@ -38,23 +35,6 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def fsync_dir(path: PathLike) -> None:
-    """fsync the directory containing ``path``.
-
-    ``os.replace`` makes the rename atomic but not durable: the new
-    directory entry lives in the parent's metadata, which the kernel is
-    free to hold in cache until the *directory* is fsynced.  Without
-    this, a power loss after a "successful" atomic write can roll the
-    destination back to its previous content (or to nothing).
-    """
-    parent = Path(path).parent or Path(".")
-    fd = os.open(parent, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def atomic_savez(
     path: PathLike,
     *,
@@ -62,12 +42,8 @@ def atomic_savez(
     fsync: bool = True,
     **arrays: np.ndarray,
 ) -> Path:
-    """``np.savez(_compressed)`` with write-to-temp + ``os.replace``.
-
-    The temporary file lives in the destination directory so the final
-    rename stays within one filesystem (and therefore atomic).  On any
-    failure the temporary file is removed and the destination — if it
-    existed — is left untouched.
+    """``np.savez(_compressed)`` through :func:`repro.durable.publish`:
+    on any failure the destination is left untouched.
 
     ``compress=False`` and ``fsync=False`` trade durability-vs-speed:
     checkpoints use both because their cost budget is a few percent of
@@ -79,25 +55,13 @@ def atomic_savez(
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp"
+    savez = np.savez_compressed if compress else np.savez
+    return publish(
+        path,
+        lambda fh: savez(fh, **arrays),
+        writer="atomic_savez",
+        fsync=fsync,
     )
-    tmp = Path(tmp_name)
-    writer = np.savez_compressed if compress else np.savez
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            check_io_faults(path, writer="atomic_savez")
-            writer(fh, **arrays)
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if fsync:
-            fsync_dir(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
 
 
 def atomic_write_text(
@@ -105,25 +69,10 @@ def atomic_write_text(
 ) -> Path:
     """Write ``text`` with the same write-to-temp + ``os.replace``
     guarantee as :func:`atomic_savez` (used for job-spec drop files)."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp"
+    return publish(
+        path, lambda fh: fh.write(text.encode("utf-8")),
+        writer="atomic_write_text", fsync=fsync,
     )
-    tmp = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            check_io_faults(path, writer="atomic_write_text")
-            fh.write(text)
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if fsync:
-            fsync_dir(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
 
 
 def save_bcrs(path: PathLike, A: BCRSMatrix) -> None:

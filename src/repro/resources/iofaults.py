@@ -6,14 +6,17 @@ Three sites model the ways a filesystem says "no more":
 * ``io.edquot`` — a quota was exhausted (``EDQUOT``);
 * ``io.eio``    — the device itself failed the write (``EIO``).
 
-:func:`check_io_faults` is called at the top of every writer in the
-stack — :func:`repro.io.atomic_savez`, :func:`repro.io.atomic_write_text`,
-the job-journal append, the metrics exporter's swap, and the rotating
-trace/event sinks — and raises a real :class:`OSError` carrying the
-matching ``errno``, so the degraded-mode ladders are exercised by the
-exact exception a real exhausted disk produces.  Callers therefore need
-no fault-specific handling: one ``except OSError`` covers the drill and
-the real thing.
+:func:`check_io_faults` fires before every durable write, with a
+label a drill can target through ``at={...}``: each
+:func:`repro.durable.publish` (``writer=`` ``atomic_savez``,
+``atomic_write_text``, ``exporter``, ``telemetry_hub``, ``autotune``,
+``journal_compact``), the job-journal append (``writer="journal"``,
+``seq``) and its retry (``"journal_retry"``), the rotating JSONL
+streams (``stream=<name>``) and flight bundles (``"flight_dump"``).
+It raises a real :class:`OSError` carrying the matching ``errno``, so
+the degraded-mode ladders are exercised by the exact exception a real
+exhausted disk produces.  Callers therefore need no fault-specific
+handling: one ``except OSError`` covers the drill and the real thing.
 """
 
 from __future__ import annotations
@@ -33,24 +36,19 @@ IO_FAULT_SITES: Dict[str, int] = {
     "io.eio": errno.EIO,
 }
 
-register_fault_site(
-    "io.enospc",
-    "resources",
-    "every durable writer (atomic_savez/atomic_write_text, journal "
-    "append, exporter swap, trace/event sinks) — raises OSError(ENOSPC)",
-)
-register_fault_site(
-    "io.edquot",
-    "resources",
-    "every durable writer — raises OSError(EDQUOT) (disk quota "
-    "exhausted)",
-)
-register_fault_site(
-    "io.eio",
-    "resources",
-    "every durable writer — raises OSError(EIO) (device-level write "
-    "failure)",
-)
+for _site, _raises in (
+    ("io.enospc", "ENOSPC"),
+    ("io.edquot", "EDQUOT: disk quota exhausted"),
+    ("io.eio", "EIO: device-level write failure"),
+):
+    register_fault_site(
+        _site,
+        "resources",
+        "every durable writer (publishes: atomic_savez, atomic_write_text, "
+        "exporter, telemetry_hub, autotune, journal_compact; journal "
+        f"append/retry; JSONL streams; flight_dump) — raises "
+        f"OSError({_raises})",
+    )
 
 
 def check_io_faults(path, **context) -> None:

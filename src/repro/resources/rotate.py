@@ -16,12 +16,10 @@ a fresh active file for the next append.  Only the newest
 :mod:`repro.resources.governor`).
 
 Readers (:func:`read_jsonl_stream`, backing ``read_trace`` and
-``read_events``) span segment boundaries transparently, oldest segment
-first, and apply the longest-valid-prefix rule **only to the newest
-segment**: a crash tears at most the tail of the file currently being
-appended to, so sealed segments are either fully readable or were
-corrupted at rest (individually skipped lines are counted, never
-raised — same contract as before rotation existed).
+``read_events``) span segments oldest first; only the newest segment,
+the one a crash can tear, gets the longest-valid-prefix rule.  The
+writer repairs the active file's tail before appending to it
+(:mod:`repro.durable`).
 
 Degraded mode: when an append fails with an :class:`OSError` (real
 ``ENOSPC``/``EDQUOT``/``EIO``, or the injectable ``io.*`` fault sites)
@@ -52,6 +50,7 @@ from typing import (
     Union,
 )
 
+from repro.durable import DECODE_ERRORS, repair_tail, scan, tail_end
 from repro.resources.iofaults import check_io_faults
 
 __all__ = [
@@ -199,7 +198,7 @@ def seal_valid(segment: Union[str, Path]) -> bool:
 # ----------------------------------------------------------------------
 # segment-spanning reader
 # ----------------------------------------------------------------------
-_DECODE_ERRORS = (ValueError, KeyError, TypeError, UnicodeDecodeError)
+_SKIP = object()  # a blank or seal line: neither data nor an error
 
 
 def read_jsonl_stream(
@@ -210,12 +209,11 @@ def read_jsonl_stream(
 ) -> Tuple[List[Any], int]:
     """Read a (possibly rotated) JSONL stream; ``(items, skipped)``.
 
-    Segments are concatenated oldest first.  The longest-valid-prefix
-    rule — stop at the first undecodable line and count the remainder
-    as skipped — applies only to the **newest** segment (the one a
-    crash can tear); in sealed segments an undecodable line is counted
-    and skipped individually, so older history stays fully readable.
-    Seal lines are consumed silently.
+    Segments are concatenated oldest first.  The newest segment is read
+    by :func:`repro.durable.scan` (its undecodable remainder counts as
+    skipped); sealed segments skip bad lines one by one.  Seal lines,
+    possible on the active file too (crash before the rename), are
+    consumed silently.
     """
     path = Path(path)
     segments = stream_segments(path)
@@ -223,31 +221,35 @@ def read_jsonl_stream(
         if missing_ok:
             return [], 0
         raise FileNotFoundError(str(path))
+
+    def data_line(line: bytes) -> Any:
+        if not line.strip() or _parse_seal(line) is not None:
+            return _SKIP
+        return decode(line)
+
     items: List[Any] = []
     skipped = 0
-    for pos, segment in enumerate(segments):
-        newest = pos == len(segments) - 1
+    for segment in segments[:-1]:
         try:
             raw = segment.read_bytes()
         except OSError:
             continue  # pruned between listing and read
-        lines = [ln for ln in raw.split(b"\n") if ln.strip()]
-        # Drop a trailing seal: always present on sealed segments, and
-        # possible on the active file if a crash struck between the
-        # seal append and the rename.
-        if lines and _parse_seal(lines[-1]) is not None:
-            lines = lines[:-1]
-        for i, line in enumerate(lines):
-            if _parse_seal(line) is not None:
-                continue  # stray seal mid-file: not data, not an error
+        for line in raw.split(b"\n"):
             try:
-                items.append(decode(line))
-            except _DECODE_ERRORS:
-                if newest:
-                    skipped += len(lines) - i
-                    break
+                items.append(data_line(line))
+            except DECODE_ERRORS:
                 skipped += 1
-    return items, skipped
+    try:
+        raw = segments[-1].read_bytes()
+    except OSError:
+        raw = b""
+    prefix, end = scan(raw, data_line)
+    items.extend(prefix)
+    skipped += sum(
+        1 for line in raw[end:].split(b"\n")
+        if line.strip() and _parse_seal(line) is None
+    )
+    return [item for item in items if item is not _SKIP], skipped
 
 
 # ----------------------------------------------------------------------
@@ -301,25 +303,21 @@ class RotatingJsonlWriter:
         self._lines = 0
         self._crc = 0
         self._since_retry = 0
-        self._adopted = False
 
     # ------------------------------------------------------------------
-    def _adopt_existing(self) -> None:
-        """Resume byte/line/CRC accounting over a pre-existing file."""
-        self._adopted = True
-        self._bytes = self._lines = self._crc = 0
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        self._bytes = len(raw)
-        self._crc = zlib.crc32(raw) & 0xFFFFFFFF
-        self._lines = sum(1 for ln in raw.split(b"\n") if ln.strip())
-
     def _handle(self):
+        """Open the active file for append, first repairing a torn tail
+        (:func:`repro.durable.repair_tail`, judged by the final line
+        alone) and resuming byte/line/CRC accounting over what is kept."""
         if self._fh is None:
-            if not self._adopted:
-                self._adopt_existing()
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            raw = b""
+            if self.path.exists():
+                raw = self.path.read_bytes()
+                raw = repair_tail(self.path, raw, tail_end(raw, json.loads))
+            self._bytes = len(raw)
+            self._crc = zlib.crc32(raw) & 0xFFFFFFFF
+            self._lines = sum(1 for ln in raw.split(b"\n") if ln.strip())
             self._fh = open(self.path, "ab")
         return self._fh
 
@@ -351,21 +349,17 @@ class RotatingJsonlWriter:
         except OSError as exc:
             self._enter_shed(exc, text)
             return
+        self._bytes += len(data)
+        self._lines += 1
+        self._crc = zlib.crc32(data, self._crc) & 0xFFFFFFFF
         if self.shedding:
             self.shedding = False
-            self._adopt_existing()  # re-sync accounting after the gap
-            self._bytes += len(data)
-            self._lines += 1
             logger.info(
                 "stream %r recovered from shed mode (%d lines lost)",
                 self.stream, self.shed_lines,
             )
             if self.governor is not None:
                 self.governor.note_stream_recovered(self.stream)
-        else:
-            self._bytes += len(data)
-            self._lines += 1
-            self._crc = zlib.crc32(data, self._crc) & 0xFFFFFFFF
         if (
             self.budget is not None
             and self._bytes >= self.budget.max_segment_bytes

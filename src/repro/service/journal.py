@@ -10,10 +10,9 @@ record::
 ``crc`` is the CRC-32 of ``seq`` plus the canonical encoding of
 ``rec``, so torn tails, bit flips, and interleaved garbage are all
 detected per record.  Recovery (:meth:`JobJournal.recover`) replays
-the longest valid prefix — records must also arrive in contiguous
-``seq`` order — and truncates the file back to it, which makes *any*
-prefix truncation of the journal a consistent state (the property test
-in ``tests/test_service_journal.py`` drives this with hypothesis).
+the longest valid prefix (:func:`repro.durable.scan`; ``seq`` must
+also be contiguous) and repairs the file's tail, which makes *any*
+prefix truncation of the journal a consistent state.
 
 Durability stance: appends are flushed to the OS on every write (the
 failure model is process death, same as the checkpoint layer); pass
@@ -24,29 +23,24 @@ spec writes *half* the encoded line and kills the manager (torn
 write); a ``"zero"`` spec kills it before any bytes land (lost
 record).  Both leave the on-disk prefix consistent by construction.
 
-Resource pressure (PR 10): the journal is a **class-0 durable**
-artifact.  An append that fails with ``ENOSPC``/``EDQUOT``/``EIO``
-(real, or via the ``io.*`` fault sites) asks the
+Resource pressure: the journal is a **class-0 durable** artifact.  An
+append that fails with an ``OSError`` asks the
 :class:`~repro.resources.governor.ResourceGovernor` to evict junior
-artifacts, truncates any torn partial line back to the valid prefix,
-and retries exactly once before surfacing the error.  Unbounded growth
-is handled by :meth:`JobJournal.compact`: the live job table is
-serialized as a single CRC'd ``snapshot`` record into a sibling temp
-file, verified by a full re-scan, and atomically swapped in — the old
-history is destroyed only after the snapshot is durable, so a crash at
-*any* byte offset of the protocol recovers either the full old journal
-or the verified snapshot (hypothesis-tested in
-``tests/test_service_compaction.py``).
+artifacts, repairs the tail and retries exactly once before surfacing
+the error.  :meth:`JobJournal.compact` bounds growth by publishing the
+live job table as one verified ``snapshot`` record.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.durable import publish, repair_tail, scan
 from repro.resilience.faults import fire_fault
 from repro.resources.iofaults import check_io_faults
 from repro.service.errors import ManagerKilled
@@ -88,6 +82,20 @@ def _decode(line: bytes) -> Optional[Tuple[int, JournalRecord]]:
     return seq, rec
 
 
+def _scan(data: bytes) -> Tuple[List[JournalRecord], int]:
+    """:func:`repro.durable.scan` with the journal's decoder: a line
+    counts only if its CRC checks and its ``seq`` continues the prefix."""
+    expected = itertools.count(1)
+
+    def decode(line: bytes) -> JournalRecord:
+        decoded = _decode(line)
+        if decoded is None or decoded[0] != next(expected):
+            raise ValueError("torn, corrupt or out-of-sequence record")
+        return decoded[1]
+
+    return scan(data, decode)
+
+
 class JobJournal:
     """Append-only, CRC-framed, crash-recoverable job log."""
 
@@ -108,42 +116,18 @@ class JobJournal:
     # ------------------------------------------------------------------
     @staticmethod
     def scan(path: Union[str, Path]) -> Tuple[List[JournalRecord], int]:
-        """Replay ``path``: ``(records, valid_bytes)`` of the longest
-        valid prefix.  Read-only — never mutates the file, so it is
-        safe for the ``jobs`` CLI against a live journal.
-        """
+        """``(records, valid_bytes)`` of the longest valid prefix.
+        Read-only, so safe for the ``jobs`` CLI against a live journal."""
         path = Path(path)
-        records: List[JournalRecord] = []
-        offset = 0
-        if not path.exists():
-            return records, offset
-        data = path.read_bytes()
-        expect = 1
-        while True:
-            end = data.find(b"\n", offset)
-            if end < 0:  # trailing partial line (torn write): stop here
-                break
-            decoded = _decode(data[offset:end])
-            if decoded is None:
-                break
-            seq, rec = decoded
-            if seq != expect:  # replayed/missing record: prefix ends
-                break
-            records.append(rec)
-            offset = end + 1
-            expect += 1
-        return records, offset
+        return _scan(path.read_bytes()) if path.exists() else ([], 0)
 
     def recover(self) -> List[JournalRecord]:
-        """Replay the journal, truncate any torn tail, open for append.
-
-        Returns the replayed records; afterwards :meth:`append`
-        continues the sequence numbering where the valid prefix ended.
-        """
-        records, valid = self.scan(self.path)
-        if self.path.exists() and valid < self.path.stat().st_size:
-            with open(self.path, "rb+") as fh:
-                fh.truncate(valid)
+        """Replay the journal and repair its tail
+        (:func:`repro.durable.repair_tail`); :meth:`append` then
+        continues the numbering after the valid prefix."""
+        data = self.path.read_bytes() if self.path.exists() else b""
+        records, valid = _scan(data)
+        repair_tail(self.path, data, valid)
         self._seq = len(records)
         return records
 
@@ -177,29 +161,24 @@ class JobJournal:
             fh.write(payload)
             fh.flush()
         except OSError:
-            self._retry_append(payload)
+            self._retry_append(seq, payload)
             fh = self._fh  # the retry reopened the handle
         if self.fsync:
             os.fsync(fh.fileno())
         self._seq = seq
         return seq
 
-    def _retry_append(self, payload: bytes) -> None:
-        """Recover a class-0 append from a full disk: release + retry.
-
-        The failed write may have landed a partial line, so the file is
-        first truncated back to its longest valid prefix (re-scanned;
-        this is a rare error path) before the single retry.  A second
-        failure propagates — the journal never degrades silently.
-        """
+    def _retry_append(self, seq: int, payload: bytes) -> None:
+        """Recover a class-0 append from a full disk: release, repair
+        the tail the failed write may have torn, and retry once unless
+        the whole record had landed.  A second failure propagates."""
         self.close()
         if self.governor is not None:
             self.governor.emergency_release(max(len(payload) * 4, 1 << 16))
-        _, valid = self.scan(self.path)
-        if self.path.exists() and valid < self.path.stat().st_size:
-            with open(self.path, "rb+") as fh:
-                fh.truncate(valid)
+        landed = len(self.recover()) == seq
         fh = self._handle()
+        if landed:
+            return
         check_io_faults(self.path, writer="journal_retry")
         fh.write(payload)
         fh.flush()
@@ -222,60 +201,38 @@ class JobJournal:
     ) -> int:
         """Replace the whole history with one verified snapshot record.
 
-        Protocol (crash-safe at every byte):
-
-        1. write ``snapshot`` as sequence 1 into ``<journal>.compact``
-           in the same directory, flush + fsync;
-        2. **verify** by fully re-scanning the temp file (exactly one
-           record, zero torn bytes, payload round-trips);
-        3. ``os.replace`` it over the journal, fsync the directory;
-        4. resume appending at sequence 2.
-
-        A crash before step 3 leaves the old journal untouched (the
-        stale ``.compact`` temp is ignored by recovery and unlinked by
-        the next compaction); a crash after step 3 leaves the verified
-        snapshot.  Either way recovery rebuilds the same job table.
-
-        The ``kill_*`` hooks crash the manager at the named point (for
-        the hypothesis crash-equivalence tests).  Returns the new
-        journal size in bytes.
+        One :func:`repro.durable.publish`: the snapshot (sequence 1) is
+        written to a temporary file, re-read and re-scanned (exactly one
+        record, no torn bytes), then fsynced and swapped in.  A crash
+        before the swap leaves the old journal, one after it the
+        verified snapshot; either replays to the same job table.  The
+        ``kill_*`` hooks crash the manager at the named points (for the
+        crash-equivalence tests).  Returns the new journal size.
         """
-        tmp = self.path.with_name(self.path.name + ".compact")
-        tmp.unlink(missing_ok=True)
         payload = _encode(1, snapshot)
-        check_io_faults(tmp, writer="journal_compact")
-        with open(tmp, "wb") as fh:
-            if kill_after_bytes is not None and kill_after_bytes < len(
+
+        def write(fh) -> None:
+            torn = kill_after_bytes is not None and kill_after_bytes < len(
                 payload
-            ):
-                fh.write(payload[:kill_after_bytes])
-                fh.flush()
+            )
+            fh.write(payload[:kill_after_bytes] if torn else payload)
+            if torn:
                 raise ManagerKilled(
                     f"manager killed mid-compaction (snapshot torn at "
                     f"byte {kill_after_bytes})"
                 )
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        records, valid = self.scan(tmp)
-        if (
-            len(records) != 1
-            or records[0] != snapshot
-            or valid != tmp.stat().st_size
-        ):
-            tmp.unlink(missing_ok=True)
-            raise OSError(f"compaction snapshot failed verification: {tmp}")
-        if kill_before_replace:
-            raise ManagerKilled(
-                "manager killed after snapshot verify, before swap"
-            )
-        # Imported here, not at module top, as in the telemetry
-        # exporter: repro.io pulls in the whole repro package root.
-        from repro.io import fsync_dir
+            fh.seek(0)
+            data = fh.read()
+            records, valid = _scan(data)
+            if records != [snapshot] or valid != len(data):
+                raise OSError("compaction snapshot failed verification")
+            if kill_before_replace:
+                raise ManagerKilled(
+                    "manager killed after snapshot verify, before swap"
+                )
 
         self.close()
-        os.replace(tmp, self.path)
-        fsync_dir(self.path)
+        publish(self.path, write, writer="journal_compact")
         self._seq = 1
         if kill_after_replace:
             raise ManagerKilled("manager killed after compaction swap")

@@ -35,9 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional
@@ -45,6 +43,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 import repro.telemetry as _telemetry
+from repro.durable import publish
 from repro.resilience.faults import fire_fault
 from repro.sparse.enginewatch import (
     REFERENCE_ENGINE,
@@ -261,15 +260,14 @@ class AutoSelector:
             except (OSError, ValueError):
                 merged = {}
             merged.update(self._memory)
-            fd, tmp = tempfile.mkstemp(
-                dir=directory, prefix=".autotune-", suffix=".json"
+            data = json.dumps(
+                {"schema": SCHEMA_VERSION, "entries": merged},
+                indent=2, sort_keys=True,
+            ).encode("utf-8")
+            publish(
+                path, lambda fh: fh.write(data), writer="autotune",
+                fsync=False,
             )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"schema": SCHEMA_VERSION, "entries": merged},
-                    fh, indent=2, sort_keys=True,
-                )
-            os.replace(tmp, path)
         except OSError:
             pass  # read-only dir: selection still works, memory-only
 

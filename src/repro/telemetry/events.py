@@ -80,16 +80,9 @@ class BusEvent:
 def read_events(
     path: Union[str, Path], *, with_stats: bool = False
 ) -> Union[List[BusEvent], Tuple[List[BusEvent], int]]:
-    """Parse ``events.jsonl``, tolerating a torn tail.
-
-    Spans every sealed segment of a rotated bus (oldest first) plus the
-    active file, and mirrors the journal's longest-valid-prefix rule:
-    in the newest segment parsing stops at the first line that fails to
-    decode (a crash mid-append tears at most the final line) and the
-    remainder is *counted*, not raised; sealed segments stay fully
-    readable.  With ``with_stats=True`` returns
-    ``(events, skipped_lines)``.
-    """
+    """Parse a (rotated) ``events.jsonl``, tolerating a torn tail (see
+    :func:`repro.resources.read_jsonl_stream`).  With
+    ``with_stats=True`` returns ``(events, skipped_lines)``."""
     from repro.resources.rotate import read_jsonl_stream
 
     events, skipped = read_jsonl_stream(
@@ -148,13 +141,10 @@ class EventBus:
     # ------------------------------------------------------------------
     def _next_seq(self) -> int:
         if self._seq is None:
-            self._seq = 0
-            if self.path is not None and self.path.exists():
-                # Resume the sequence past the existing file so causal
-                # order spans manager incarnations.
-                prior, _ = read_events(self.path, with_stats=True)
-                if prior:
-                    self._seq = prior[-1].seq
+            # Resume the sequence past the existing (possibly rotated)
+            # stream so causal order spans manager incarnations.
+            prior = read_events(self.path) if self.path is not None else []
+            self._seq = prior[-1].seq if prior else 0
         self._seq += 1
         return self._seq
 

@@ -3,12 +3,12 @@
 The :class:`MetricsExporter` serializes the live
 :class:`~repro.telemetry.metrics.MetricsRegistry` on a cadence:
 
-* ``metrics.prom`` — Prometheus text exposition format, *atomically
-  swapped* (written to a temp file in the same directory then
-  ``os.replace``\\ d), so a scraper or ``repro top`` never observes a
-  partially-written file.  Gauges carry their last-update wall-clock
-  timestamp (milliseconds, per the exposition format) so a stale gauge
-  is distinguishable from a fresh one.
+* ``metrics.prom`` — Prometheus text exposition format, *published
+  atomically* (:func:`repro.durable.publish`), so a scraper or
+  ``repro top`` never observes a partially-written file.  Gauges carry
+  their last-update wall-clock timestamp (milliseconds, per the
+  exposition format) so a stale gauge is distinguishable from a fresh
+  one.
 * ``metrics.jsonl`` — one JSON snapshot line per export, append-only,
   so the *history* of every counter survives (the text file only ever
   shows "now").
@@ -28,6 +28,8 @@ import json
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
+
+from repro.durable import publish
 
 from .metrics import MetricsRegistry
 
@@ -288,23 +290,20 @@ class MetricsExporter:
 
     def export(self) -> Path:
         """Unconditional export of all three artifacts."""
-        # Imported here, not at module top: repro.io pulls in the repro
-        # package root, which circularly imports telemetry at init.
-        from repro.io import atomic_write_text
-
         self.exports += 1
         self.registry.counter("telemetry.exports").value = float(self.exports)
         self.directory.mkdir(parents=True, exist_ok=True)
         wall = self._wall()
         try:
-            atomic_write_text(
-                self.prom_path, render_prometheus(self.registry), fsync=False
-            )
-            atomic_write_text(
-                self.directory / "metrics.json",
-                self.registry.dump_json() + "\n",
-                fsync=False,
-            )
+            for path, text in (
+                (self.prom_path, render_prometheus(self.registry)),
+                (self.directory / "metrics.json",
+                 self.registry.dump_json() + "\n"),
+            ):
+                publish(
+                    path, lambda fh: fh.write(text.encode("utf-8")),
+                    writer="exporter", fsync=False,
+                )
         except OSError as exc:
             # Telemetry is the junior class: an unwritable disk drops
             # this export (counted) instead of raising into the run.

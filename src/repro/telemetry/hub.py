@@ -16,6 +16,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.durable import publish
+
 from .events import EVENTS_FILENAME, NULL_BUS, EventBus
 from .exporter import MetricsExporter
 from .metrics import NULL_METRICS, MetricsRegistry, _NullMetrics
@@ -277,12 +279,12 @@ class TelemetryHub:
         if self.directory is not None:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                path = self.directory / METRICS_FILENAME
-                tmp = path.with_suffix(".json.tmp")
-                tmp.write_text(
-                    self.metrics.dump_json() + "\n", encoding="utf-8"
+                text = self.metrics.dump_json() + "\n"
+                publish(
+                    self.directory / METRICS_FILENAME,
+                    lambda fh: fh.write(text.encode("utf-8")),
+                    writer="telemetry_hub", fsync=False,
                 )
-                tmp.replace(path)
             except OSError:
                 # Junior class: a full disk costs this snapshot, not
                 # the run (the exporter counts its own sheds).

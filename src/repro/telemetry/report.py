@@ -223,12 +223,10 @@ class RooflineReport:
         k: float = 0.0,
         profiles: Optional[Dict[str, "EngineProfile"]] = None,
     ) -> "RooflineReport":
-        """Build the report from a telemetry directory's ``trace.jsonl``."""
-        trace = Path(run_dir) / TRACE_FILENAME
-        if not trace.exists():
-            raise FileNotFoundError(f"no {TRACE_FILENAME} in {run_dir}")
+        """Build the report from a telemetry directory's (possibly
+        rotated) ``trace.jsonl``; :class:`FileNotFoundError` if none."""
         return cls.from_events(
-            read_trace(trace), machine,
+            read_trace(Path(run_dir) / TRACE_FILENAME), machine,
             threshold=threshold, k=k, profiles=profiles,
         )
 

@@ -210,16 +210,10 @@ class JsonlSink:
 def read_trace(
     path: Union[str, Path], *, with_stats: bool = False
 ) -> Union[List[SpanEvent], Tuple[List[SpanEvent], int]]:
-    """Parse a JSONL trace file back into :class:`SpanEvent` objects.
-
-    Spans every sealed segment of a rotated trace (oldest first) plus
-    the active file.  Tolerates a torn tail (crash mid-append),
-    mirroring the job journal's longest-valid-prefix rule: in the
-    *newest* segment parsing stops at the first line that fails to
-    decode and the remaining lines are *counted* instead of raised;
-    sealed segments stay fully readable.  With ``with_stats=True`` the
-    return value is ``(events, skipped_lines)``.
-    """
+    """Parse a (rotated) JSONL trace back into :class:`SpanEvent`
+    objects, tolerating a torn tail (see
+    :func:`repro.resources.read_jsonl_stream`).  With
+    ``with_stats=True`` returns ``(events, skipped_lines)``."""
     from repro.resources.rotate import read_jsonl_stream
 
     events, skipped = read_jsonl_stream(

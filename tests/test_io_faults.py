@@ -179,3 +179,95 @@ class TestJournalUnderPressure:
         # the journal still replays its longest valid prefix
         records, _ = JobJournal.scan(path)
         assert [r["t"] for r in records] == ["submit"]
+
+
+# ----------------------------------------------------------------------
+# Every atomic publish shows an io.* drill and cleans up after it.
+# ----------------------------------------------------------------------
+def _savez_site(tmp_path):
+    dest = tmp_path / "a.npz"
+    atomic_savez(dest, x=np.arange(3))
+    return dest, lambda: atomic_savez(dest, x=np.arange(9)), None
+
+
+def _write_text_site(tmp_path):
+    dest = tmp_path / "t.txt"
+    atomic_write_text(dest, "old")
+    return dest, lambda: atomic_write_text(dest, "new"), None
+
+
+def _autotune_site(tmp_path):
+    from repro.sparse.autotune import CACHE_FILENAME, AutoSelector
+    from repro.sparse.kernels import KernelRegistry
+
+    sel = AutoSelector(KernelRegistry(), cache_dir=tmp_path)
+    sel._memory["a"] = {"engine": "scipy"}
+    sel._persist(tmp_path)
+
+    def attempt():
+        sel._memory["b"] = {"engine": "blocked"}
+        sel._persist(tmp_path)
+
+    # Absorbed: the selection stays memory-only.
+    return tmp_path / CACHE_FILENAME, attempt, lambda: set(sel._memory) == {
+        "a", "b"
+    }
+
+
+def _hub_site(tmp_path):
+    from repro.telemetry import TelemetryHub
+
+    hub = TelemetryHub(tmp_path)
+    hub.flush()
+    shed = hub.metrics.counter("telemetry.shed", stream="metrics")
+
+    def attempt():
+        hub.metrics.counter("steps.completed").inc()
+        hub.flush()
+
+    # Absorbed: the lost snapshot is counted as shed telemetry.
+    return tmp_path / "metrics.json", attempt, lambda: shed.value == 1
+
+
+def _compaction_site(tmp_path):
+    from repro.service.journal import SNAPSHOT_KIND
+
+    path = tmp_path / "journal.jsonl"
+    journal = JobJournal(path)
+    journal.append({"t": "submit", "job": 1, "tick": 0})
+    journal.append({"t": "admit", "job": 1, "tick": 1})
+    journal.close()
+    return path, lambda: journal.compact({"t": SNAPSHOT_KIND}), None
+
+
+@pytest.mark.parametrize(
+    "writer, site",
+    [
+        ("atomic_savez", _savez_site),
+        ("atomic_write_text", _write_text_site),
+        ("autotune", _autotune_site),
+        ("telemetry_hub", _hub_site),
+        ("journal_compact", _compaction_site),
+    ],
+)
+def test_publish_fault_is_visible_and_leaves_no_trace(tmp_path, writer, site):
+    dest, attempt, absorbed = site(tmp_path)
+    before = dest.read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    arm(
+        FaultPlan(
+            specs=[
+                FaultSpec(site="io.enospc", at={"writer": writer}, times=None)
+            ]
+        )
+    )
+    if absorbed is None:
+        with pytest.raises(OSError) as exc_info:
+            attempt()
+        assert exc_info.value.errno == errno.ENOSPC
+    else:
+        attempt()
+        assert absorbed()
+    disarm()
+    assert dest.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
