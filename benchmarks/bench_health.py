@@ -153,12 +153,13 @@ def _passed(results: dict) -> bool:
     )
 
 
-def test_health_overhead(benchmark):
+def test_health_overhead(benchmark, tmp_path):
     results = collect()
     assert _passed(results), results
     emit_report(
         "health", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=True,
+        out_paths=[tmp_path / "BENCH_health.json"],
     )
 
     # Benchmark one full default-catalogue observation on a live state.

@@ -146,6 +146,7 @@ def test_observability_overhead(tmp_path):
     emit_report(
         "observability", config=CONFIG, metrics=results,
         timestamp=utc_now(), passed=True,
+        out_paths=[tmp_path / "BENCH_observability.json"],
     )
 
 

@@ -150,6 +150,7 @@ def test_resilience_overhead(benchmark, tmp_path):
     emit_report(
         "resilience", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=True,
+        out_paths=[tmp_path / "BENCH_resilience.json"],
     )
 
     # Benchmark the checkpoint round-trip itself (save + verify-load).

@@ -293,6 +293,7 @@ def test_resource_overhead_and_chaos(tmp_path):
     emit_report(
         "resource", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=True,
+        out_paths=[tmp_path / "BENCH_resource.json"],
     )
 
 

@@ -228,6 +228,7 @@ def test_service_overhead_and_chaos(tmp_path):
     emit_report(
         "service", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=True,
+        out_paths=[tmp_path / "BENCH_service.json"],
     )
 
 

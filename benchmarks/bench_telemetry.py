@@ -127,6 +127,7 @@ def test_telemetry_overhead(benchmark, tmp_path):
     emit_report(
         "telemetry", config=CONFIG, metrics=results, timestamp=utc_now(),
         passed=True,
+        out_paths=[tmp_path / "BENCH_telemetry.json"],
     )
 
     # Benchmark the per-event hot path itself: one record() into a

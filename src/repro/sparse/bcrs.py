@@ -117,23 +117,29 @@ class BCRSMatrix:
             raise ValueError("block column index out of range")
         b = blocks.shape[1] if blocks.size else 3
 
-        # Sort lexicographically by (row, col); coalesce duplicates.
-        order = np.lexsort((cols, rows))
-        rows, cols, blocks = rows[order], cols[order], blocks[order]
-        if len(rows):
-            keys = rows.astype(np.int64) * nb_cols + cols.astype(np.int64)
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            if len(uniq) != len(keys):
-                if not sum_duplicates:
-                    raise ValueError("duplicate block coordinates")
-                summed = np.zeros((len(uniq), b, b))
-                np.add.at(summed, inverse, blocks)
-                blocks = summed
-                rows = (uniq // nb_cols).astype(np.int64)
-                cols = (uniq % nb_cols).astype(np.int64)
+        # Sort by (row, col) through one stable sort of the combined
+        # key; coalesce duplicates, one `bincount` per block component.
+        # `bincount` adds each slot's values in input order starting
+        # from 0.0, so sums round exactly as a sequential scatter-add
+        # would (`np.add.reduceat` does not).
+        keys = rows * nb_cols + cols
+        order = np.argsort(keys, kind="stable")
+        keys, blocks = keys[order], blocks[order]
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            if not sum_duplicates:
+                raise ValueError("duplicate block coordinates")
+            slot = np.cumsum(first) - 1
+            keys = keys[first]
+            flat = blocks.reshape(len(blocks), b * b)
+            summed = np.empty((len(keys), b * b))
+            for c in range(b * b):
+                summed[:, c] = np.bincount(slot, weights=flat[:, c], minlength=len(keys))
+            blocks = summed.reshape(len(keys), b, b)
+        rows, cols = np.divmod(keys, nb_cols)
         row_ptr = np.zeros(nb_rows + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        np.cumsum(row_ptr, out=row_ptr)
+        np.cumsum(np.bincount(rows, minlength=nb_rows), out=row_ptr[1:])
         return cls(row_ptr=row_ptr, col_ind=cols, blocks=blocks, nb_cols=nb_cols)
 
     @classmethod

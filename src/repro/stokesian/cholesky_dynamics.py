@@ -37,7 +37,7 @@ from repro.solvers.chol import CholeskySolver
 from repro.solvers.refine import iterative_refinement
 from repro.stokesian.dynamics import SDParameters
 from repro.stokesian.integrators import apply_displacement
-from repro.stokesian.neighbors import neighbor_pairs
+from repro.stokesian.neighbors import VerletList
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix
 from repro.util.rng import RngLike, as_rng
@@ -76,6 +76,7 @@ class CholeskyStokesianDynamics:
         self.rng = as_rng(rng)
         self.step_index = 0
         self.history: List[CholeskyStepRecord] = []
+        self._verlet = VerletList()
 
     # ------------------------------------------------------------------
     def build_matrix(self, system: Optional[ParticleSystem] = None):
@@ -97,8 +98,8 @@ class CholeskyStokesianDynamics:
         if gap is None:
             gap = float(np.mean(self.system.radii))
         with sw.phase("Construct R"):
-            # One search serves R_k and both displacements.
-            nl = neighbor_pairs(self.system, max_gap=gap)
+            # One pair list serves R_k and both displacements.
+            nl = self._verlet.pairs(self.system, gap)
             R_k = build_resistance_matrix(
                 self.system, viscosity=p.viscosity, cutoff_gap=gap, neighbor_list=nl
             )
@@ -113,7 +114,12 @@ class CholeskyStokesianDynamics:
             self.system, 0.5 * p.dt * u_k, nl, safety=p.overlap_safety
         )
         with sw.phase("Construct R half"):
-            R_half = self.build_matrix(half_system)
+            R_half = build_resistance_matrix(
+                half_system,
+                viscosity=p.viscosity,
+                cutoff_gap=gap,
+                neighbor_list=self._verlet.pairs(half_system, gap),
+            )
         with sw.phase("2nd solve (refinement)"):
             # The frozen factor of R_k approximates R_{k+1/2}^{-1}; the
             # first solve's solution is the initial guess.

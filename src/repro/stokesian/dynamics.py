@@ -34,7 +34,7 @@ from repro.solvers.precond import BlockJacobiPreconditioner
 from repro.sparse.bcrs import BCRSMatrix
 from repro.stokesian.brownian import BrownianForceGenerator
 from repro.stokesian.integrators import apply_displacement
-from repro.stokesian.neighbors import NeighborList, neighbor_pairs
+from repro.stokesian.neighbors import NeighborList, VerletList
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix
 import repro.telemetry as _telemetry
@@ -170,6 +170,7 @@ class StokesianDynamics:
         self._cached_bounds: Optional[tuple[float, float]] = None
         self._bounds_age = 0
         self._last_pairs: Optional[tuple[ParticleSystem, float, NeighborList]] = None
+        self._verlet = VerletList()
         # Auxiliary stream for Lanczos starting vectors, split off so
         # spectrum estimation never desynchronizes the physical noise
         # sequence between algorithm variants.
@@ -191,18 +192,19 @@ class StokesianDynamics:
         )
 
     def _pairs_of(self, system: ParticleSystem) -> NeighborList:
-        """The interacting pairs of ``system``, searched once per
-        configuration.
+        """The interacting pairs of ``system``, filtered once per
+        configuration from the driver's skin list.
 
         :meth:`build_matrix` keeps its one-argument signature (callers
         wrap it), so :meth:`step` takes R_k's pair list back from here
-        to move the particles instead of searching again."""
+        to move the particles instead of filtering again.  The skin list
+        is a cache equal to a fresh search, so it is not driver state."""
         gap = self.params.cutoff_gap
         if gap is None:
             gap = float(np.mean(system.radii))
         last = self._last_pairs
         if last is None or last[0] is not system or last[1] != gap:
-            nl = neighbor_pairs(system, max_gap=gap)
+            nl = self._verlet.pairs(system, gap)
             last = self._last_pairs = (system, gap, nl)
         return last[2]
 

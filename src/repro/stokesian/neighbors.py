@@ -13,6 +13,15 @@ Pairs come out with ``i < j`` in lexicographic ``(i, j)`` order, so
 anything assembled from them does not depend on the tree's traversal.
 Particles with non-finite coordinates pair with nothing: a NaN state
 reaches the health layer instead of failing inside the search.
+
+Neighbour reuse.  Particles barely move from one configuration to the
+next, so :class:`VerletList` searches once with a skin of
+:data:`SKIN` mean radii on top of the gap and then only filters that
+candidate set, through the same filter :func:`neighbor_pairs` uses,
+until some particle has moved ``skin/2`` from where the set was
+searched.  Its pair lists therefore equal a fresh search byte for byte,
+so the list is a cache: it changes how often the tree is queried,
+never a trajectory, and is not part of any checkpoint.
 """
 
 from __future__ import annotations
@@ -24,11 +33,14 @@ from scipy.spatial import cKDTree
 
 from repro.stokesian.particles import ParticleSystem
 
-__all__ = ["neighbor_pairs", "NeighborList"]
+__all__ = ["neighbor_pairs", "NeighborList", "VerletList", "SKIN"]
 
 # Relative slack on the tree's radius: its distances may round
 # differently from the minimum-image norms below, which decide.
 _QUERY_SLACK = 1e-9
+
+SKIN = 0.1
+"""Skin of :class:`VerletList`'s candidate search, in mean radii."""
 
 
 @dataclass(frozen=True)
@@ -72,11 +84,73 @@ def neighbor_pairs(
     found = tree.query_pairs(cutoff * (1.0 + _QUERY_SLACK), output_type="ndarray")
     # `finite` is increasing, so mapping back keeps i < j.
     i, j = finite[found[:, 0]], finite[found[:, 1]]
-    r = system.minimum_image(pos[j] - pos[i])
+    sel, r, dist = _within(system, i, j, cutoff, max_gap)
+    sel = sel[np.lexsort((j[sel], i[sel]))]
+    return NeighborList(i=i[sel], j=j[sel], r_vec=r[sel], dist=dist[sel])
+
+
+def _within(
+    system: ParticleSystem,
+    i: np.ndarray,
+    j: np.ndarray,
+    cutoff: float,
+    max_gap: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kept, r, dist)`` of candidate pairs: the indices of those within
+    ``cutoff`` (and ``max_gap``), and every candidate's minimum-image
+    vector and distance.  The one filter of both searches, so a skin
+    list keeps exactly the pairs, and the bits, of a fresh search."""
+    r = system.minimum_image(system.positions[j] - system.positions[i])
     dist = np.linalg.norm(r, axis=1)
     keep = dist <= cutoff
     if max_gap is not None:
         keep &= dist - (system.radii[i] + system.radii[j]) <= max_gap
-    sel = np.flatnonzero(keep)
-    sel = sel[np.lexsort((j[sel], i[sel]))]
-    return NeighborList(i=i[sel], j=j[sel], r_vec=r[sel], dist=dist[sel])
+    return np.flatnonzero(keep), r, dist
+
+
+class VerletList:
+    """The pairs of a moving system within ``max_gap``, from a candidate
+    set searched with a skin (see the module docstring).
+
+    :meth:`pairs` equals ``neighbor_pairs(system, max_gap=max_gap)`` in
+    all four arrays.  The candidates are re-searched when some particle
+    has moved ``skin/2`` or more since they were (or its displacement is
+    not finite), or when ``n``, the radii, the box or ``max_gap`` differ.
+    """
+
+    def __init__(self) -> None:
+        # Copies of the configuration the candidates were searched at.
+        self._ref: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._max_gap = 0.0
+        self._half_skin = 0.0
+        self._candidates: NeighborList | None = None
+
+    def _stale(self, system: ParticleSystem, max_gap: float) -> bool:
+        if self._ref is None:
+            return True
+        positions, radii, box = self._ref
+        if (
+            max_gap != self._max_gap
+            or not np.array_equal(radii, system.radii)
+            or not np.array_equal(box, system.box)
+        ):
+            return True
+        moved = system.minimum_image(system.positions - positions)
+        largest = float(np.max(np.einsum("ij,ij->i", moved, moved), initial=0.0))
+        # A non-finite displacement fails the comparison and rebuilds.
+        return not largest * (1.0 + _QUERY_SLACK) < self._half_skin**2
+
+    def pairs(self, system: ParticleSystem, max_gap: float) -> NeighborList:
+        """Pairs with surface gap ``<= max_gap``, in canonical order."""
+        max_gap = float(max_gap)
+        if max_gap < 0:
+            raise ValueError("max_gap must be non-negative")
+        if self._stale(system, max_gap):
+            skin = SKIN * float(np.mean(system.radii))
+            self._candidates = neighbor_pairs(system, max_gap=max_gap + skin)
+            self._ref = (system.positions.copy(), system.radii.copy(), system.box.copy())
+            self._max_gap, self._half_skin = max_gap, 0.5 * skin
+        i, j = self._candidates.i, self._candidates.j
+        cutoff = 2.0 * float(system.radii.max()) + max_gap
+        sel, r, dist = _within(system, i, j, cutoff, max_gap)
+        return NeighborList(i=i[sel], j=j[sel], r_vec=r[sel], dist=dist[sel])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.stokesian.neighbors import neighbor_pairs
+from repro.stokesian.neighbors import VerletList
 from repro.stokesian.particles import ParticleSystem, sample_ecoli_radii
 from repro.util.rng import RngLike, as_rng
 
@@ -73,40 +73,18 @@ def relax_overlaps(
     if push_factor <= 1.0:
         raise ValueError("push_factor must exceed 1")
     sys_ = system
-    # Verlet-list reuse: build the pair list with a skin margin and only
-    # rebuild once accumulated motion could have created pairs the list
-    # misses.  Cuts neighbor searches by an order of magnitude.
-    margin = 0.1 * float(np.mean(sys_.radii))
-    nl = neighbor_pairs(sys_, max_gap=margin)
-    moved = 0.0
+    # The skin list re-searches only once the particles have moved far
+    # enough to meet a pair it does not hold, and its overlap list
+    # always equals a fresh search.
+    verlet = VerletList()
     for _ in range(max_sweeps):
-        if moved > 0.45 * margin:
-            nl = neighbor_pairs(sys_, max_gap=margin)
-            moved = 0.0
-        if nl.n_pairs == 0:
-            return sys_
-        r_vec = sys_.minimum_image(
-            sys_.positions[nl.j] - sys_.positions[nl.i]
-        )
-        dist = np.linalg.norm(r_vec, axis=1)
-        overlap = (sys_.radii[nl.i] + sys_.radii[nl.j]) - dist
+        nl = verlet.pairs(sys_, 0.0)
+        overlap = (sys_.radii[nl.i] + sys_.radii[nl.j]) - nl.dist
         bad = overlap > tolerance
         if not np.any(bad):
-            # Pair-list candidates are clean; verify with a fresh list
-            # before declaring victory (motion may have created a pair
-            # the stale list does not track).
-            nl = neighbor_pairs(sys_, max_gap=margin)
-            r_vec = sys_.minimum_image(
-                sys_.positions[nl.j] - sys_.positions[nl.i]
-            )
-            dist = np.linalg.norm(r_vec, axis=1)
-            overlap = (sys_.radii[nl.i] + sys_.radii[nl.j]) - dist
-            bad = overlap > tolerance
-            moved = 0.0
-            if not np.any(bad):
-                return sys_
+            return sys_
         i, j = nl.i[bad], nl.j[bad]
-        d_bad, r_bad, ov = dist[bad], r_vec[bad], overlap[bad]
+        d_bad, r_bad, ov = nl.dist[bad], nl.r_vec[bad], overlap[bad]
         # Degenerate coincident centers: push along a fixed direction.
         unit = np.where(
             d_bad[:, None] > 1e-12,
@@ -118,7 +96,6 @@ def relax_overlaps(
         np.add.at(delta, i, -push)
         np.add.at(delta, j, push)
         sys_ = sys_.displaced(delta)
-        moved += float(np.linalg.norm(delta, axis=1).max()) * 2.0
     raise RuntimeError(
         f"could not remove overlaps in {max_sweeps} sweeps "
         f"(volume fraction {system.volume_fraction:.2f} may be too high)"

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.durable import DECODE_ERRORS
+
 from . import context as _context
 
 __all__ = [
@@ -95,6 +97,27 @@ def read_events(
     return events
 
 
+def _last_seq(path: Path) -> int:
+    """``seq`` of the stream's newest event, 0 when it has none.
+
+    Reads only the newest segment that holds a decodable event, from
+    its end: a torn or seal line is passed over, so after a rotation
+    (empty or missing active file) this is the newest sealed segment."""
+    from repro.resources.rotate import stream_segments
+
+    for segment in reversed(stream_segments(path)):
+        try:
+            raw = segment.read_bytes()
+        except OSError:
+            continue  # pruned between listing and read
+        for line in reversed(raw.split(b"\n")):
+            try:
+                return BusEvent.from_doc(json.loads(line.decode("utf-8"))).seq
+            except DECODE_ERRORS:
+                continue
+    return 0
+
+
 class EventBus:
     """Appends :class:`BusEvent` lines; keeps a bounded recent ring.
 
@@ -143,8 +166,7 @@ class EventBus:
         if self._seq is None:
             # Resume the sequence past the existing (possibly rotated)
             # stream so causal order spans manager incarnations.
-            prior = read_events(self.path) if self.path is not None else []
-            self._seq = prior[-1].seq if prior else 0
+            self._seq = _last_seq(self.path) if self.path is not None else 0
         self._seq += 1
         return self._seq
 

@@ -159,3 +159,38 @@ class TestAccounting:
         # The guesses really solve the auxiliary system.
         resid = np.linalg.norm(-F_B - R0 @ U, axis=0)
         assert np.all(resid <= 1e-5 * np.linalg.norm(F_B, axis=0))
+
+
+class TestSkinListTrajectory:
+    def test_byte_identical_to_fresh_search_each_configuration(self, monkeypatch):
+        """Three MRHS chunks (m=8) and 24 original steps at n=1000,
+        phi=0.3 end where the same runs end when every configuration's
+        pairs come from a fresh search."""
+        from repro.stokesian.neighbors import neighbor_pairs
+
+        start = random_configuration(1000, 0.3, rng=1)
+
+        def run():
+            mrhs = MrhsStokesianDynamics(
+                start, SDParameters(), MrhsParameters(m=8), rng=2
+            )
+            mrhs.run(3)
+            orig = StokesianDynamics(start, SDParameters(), rng=2)
+            orig.run(24)
+            steps = [s for c in mrhs.chunks for s in c.steps] + orig.history
+            iters = [(s.iterations_first, s.iterations_second) for s in steps]
+            return mrhs.system.positions, orig.system.positions, iters
+
+        skin = run()
+        with monkeypatch.context() as m:
+            m.setattr(
+                StokesianDynamics,
+                "_pairs_of",
+                lambda self, system: neighbor_pairs(
+                    system, max_gap=float(np.mean(system.radii))
+                ),
+            )
+            fresh = run()
+        assert skin[0].tobytes() == fresh[0].tobytes()
+        assert skin[1].tobytes() == fresh[1].tobytes()
+        assert skin[2] == fresh[2]

@@ -11,6 +11,7 @@ the CLI ``--die-after`` path), and the ``--watch``/``top`` live views.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,43 @@ class TestEventBus:
         reborn.close()
         assert event.seq == 4
         assert [e.seq for e in read_events(path)] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("active", ["events", "rotated-away", "torn-only"])
+    def test_seq_resumes_from_the_newest_segment_alone(
+        self, tmp_path, monkeypatch, active
+    ):
+        """Over three or more sealed segments, a new bus resumes at the
+        right ``seq`` and reads at most two segment files: the active
+        one and, when that holds no event, the newest sealed one."""
+        from repro.resources import StreamBudget
+        from repro.resources.rotate import sealed_segments
+
+        path = tmp_path / "events.jsonl"
+        budget = StreamBudget(max_segment_bytes=1024, keep_segments=8)
+        bus = EventBus(path, budget=budget)
+        while len(sealed_segments(path)) < 3 or path.exists():
+            bus.emit("test", "tick", pad="x" * 100)
+        if active == "events":
+            bus.emit("test", "tick")
+        bus.close()
+        if active == "torn-only":
+            path.write_bytes(b'{"seq": 99')
+        last = max(e.seq for e in read_events(path))
+        assert last == bus.events_emitted
+
+        read = set()
+        real = Path.read_bytes
+
+        def recording(self):
+            read.add(self.name)
+            return real(self)
+
+        monkeypatch.setattr(Path, "read_bytes", recording)
+        reborn = EventBus(path, budget=budget)
+        assert reborn.emit("test", "resumed").seq == last + 1
+        reborn.close()
+        assert len(read) <= 2
+        assert read <= {path.name, sealed_segments(path)[-1].name}
 
     def test_explicit_ids_beat_the_ambient_scope(self, tmp_path):
         bus = EventBus(tmp_path / "events.jsonl")

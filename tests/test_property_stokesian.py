@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.stokesian.chebyshev import ChebyshevSqrt
 from repro.stokesian.lubrication import pair_resistance_block
-from repro.stokesian.neighbors import neighbor_pairs
+from repro.stokesian.neighbors import SKIN, VerletList, neighbor_pairs
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix, far_field_viscosity
 
@@ -139,6 +139,72 @@ class TestNeighborProperties:
         np.testing.assert_array_equal(np.lexsort((nl.j, nl.i)), np.arange(nl.n_pairs))
         if nan_row is not None:
             assert nan_row not in nl.i and nan_row not in nl.j
+
+
+def _assert_same_pairs(got, want):
+    for name in ("i", "j", "r_vec", "dist"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestVerletListProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        system=particle_systems(),
+        max_gap=st.floats(0.0, 3.0),
+        walk=st.lists(
+            st.tuples(
+                st.integers(0, 2**31 - 1),
+                # Largest move over skin/2, kept off the boundary itself.
+                st.one_of(st.floats(0.0, 0.95), st.floats(1.05, 4.0)),
+                st.one_of(st.none(), st.integers(0, 11)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_equals_fresh_search_byte_for_byte(self, system, max_gap, walk):
+        """Along a random walk of polydisperse configurations, with moves
+        below and above skin/2 and NaN rows, the skin list's pairs equal
+        ``neighbor_pairs`` in all four arrays.  It keeps its candidates
+        while every particle is within skin/2 of where they were searched
+        and searches again otherwise."""
+        half_skin = 0.5 * SKIN * float(system.radii.mean())
+        verlet = VerletList()
+        _assert_same_pairs(
+            verlet.pairs(system, max_gap), neighbor_pairs(system, max_gap=max_gap)
+        )
+        ref, current = system, system  # searched at / last finite
+        for seed, reach, nan_row in walk:
+            delta = np.random.default_rng(seed).standard_normal((system.n, 3))
+            delta *= reach * half_skin / np.linalg.norm(delta, axis=1).max()
+            moved = probe = ParticleSystem(
+                current.positions + delta, system.radii, system.box
+            )
+            if nan_row is not None:
+                nan_row %= system.n
+                positions = moved.positions.copy()
+                positions[nan_row, nan_row % 3] = np.nan
+                probe = ParticleSystem(positions, system.radii, system.box)
+            before = verlet._candidates
+            got = verlet.pairs(probe, max_gap)
+            _assert_same_pairs(got, neighbor_pairs(probe, max_gap=max_gap))
+            reused = verlet._candidates is before
+            if nan_row is not None:
+                assert not reused
+                assert nan_row not in got.i and nan_row not in got.j
+            elif np.isfinite(ref.positions).all():
+                far = np.linalg.norm(
+                    system.minimum_image(moved.positions - ref.positions), axis=1
+                ).max() / half_skin
+                if far < 0.99 or far > 1.01:
+                    assert reused == (far < 1.0)
+            else:
+                assert not reused
+            if not reused:
+                ref = probe
+            current = moved
 
 
 class TestChebyshevProperties:

@@ -116,6 +116,106 @@ class TestFromBlockCoo:
         np.testing.assert_allclose(A @ x, dense @ x, rtol=1e-12)
 
 
+def _reference_from_block_coo(nb_rows, nb_cols, rows, cols, blocks):
+    """The lexsort / unique / ``np.add.at`` coalescing ``from_block_coo``
+    used before its bincount path; kept here as the byte-level oracle."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    blocks = np.asarray(blocks, dtype=np.float64)
+    b = blocks.shape[1] if blocks.size else 3
+    order = np.lexsort((cols, rows))
+    rows, cols, blocks = rows[order], cols[order], blocks[order]
+    if len(rows):
+        keys = rows * nb_cols + cols
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        if len(uniq) != len(keys):
+            summed = np.zeros((len(uniq), b, b))
+            np.add.at(summed, inverse, blocks)
+            blocks = summed
+            rows, cols = uniq // nb_cols, uniq % nb_cols
+    row_ptr = np.zeros(nb_rows + 1, dtype=np.int64)
+    np.add.at(row_ptr, rows + 1, 1)
+    np.cumsum(row_ptr, out=row_ptr)
+    return row_ptr, cols, blocks
+
+
+def _coo(seed, nb_rows, nb_cols, k, b=3, dup_rate=0.5):
+    """Triplets with many repeated coordinates and values spanning many
+    magnitudes (so a different summation order would round differently),
+    signed zeros included."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, nb_rows, k)
+    cols = rng.integers(0, nb_cols, k)
+    dup = rng.random(k) < dup_rate
+    src = rng.integers(0, k, k)
+    rows[dup], cols[dup] = rows[src[dup]], cols[src[dup]]
+    blocks = rng.standard_normal((k, b, b)) * 10.0 ** rng.integers(-8, 9, (k, 1, 1))
+    blocks[rng.random((k, b, b)) < 0.05] = -0.0
+    return rows, cols, blocks
+
+
+class TestFromBlockCooMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_duplicates_byte_identical(self, seed, b):
+        nb_rows, nb_cols = 7 + seed, 5 + 2 * seed
+        rows, cols, blocks = _coo(seed, nb_rows, nb_cols, 40 * (seed + 1), b=b)
+        A = BCRSMatrix.from_block_coo(nb_rows, nb_cols, rows, cols, blocks)
+        row_ptr, col_ind, ref = _reference_from_block_coo(
+            nb_rows, nb_cols, rows, cols, blocks
+        )
+        assert A.block_size == b
+        np.testing.assert_array_equal(A.row_ptr, row_ptr)
+        np.testing.assert_array_equal(A.col_ind, col_ind)
+        assert A.blocks.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_signed_zero_kept_without_duplicates(self):
+        blocks = np.full((2, 3, 3), -0.0)
+        A = BCRSMatrix.from_block_coo(2, 2, [1, 0], [0, 1], blocks)
+        assert A.blocks.tobytes() == blocks.tobytes()
+
+    def test_resistance_matrix_byte_identical(self, monkeypatch):
+        from repro.stokesian.packing import random_configuration
+        from repro.stokesian.resistance import build_resistance_matrix
+
+        captured = []
+        real = BCRSMatrix.__dict__["from_block_coo"].__func__
+
+        def capture(cls, *args, **kw):
+            captured.append(args)
+            return real(cls, *args, **kw)
+
+        system = random_configuration(200, 0.3, rng=4)
+        monkeypatch.setattr(BCRSMatrix, "from_block_coo", classmethod(capture))
+        R = build_resistance_matrix(system)
+        row_ptr, col_ind, ref = _reference_from_block_coo(*captured[0])
+        np.testing.assert_array_equal(R.row_ptr, row_ptr)
+        np.testing.assert_array_equal(R.col_ind, col_ind)
+        assert R.blocks.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    def test_duplicates_raise_when_disallowed(self):
+        rows, cols, blocks = _coo(0, 4, 4, 30)
+        with pytest.raises(ValueError, match="duplicate"):
+            BCRSMatrix.from_block_coo(4, 4, rows, cols, blocks, sum_duplicates=False)
+
+    def test_unique_coordinates_accepted_when_disallowed(self):
+        rows, cols, blocks = _coo(1, 6, 6, 20, dup_rate=0.0)
+        keep = np.unique(rows * 6 + cols, return_index=True)[1]
+        rows, cols, blocks = rows[keep[::-1]], cols[keep[::-1]], blocks[keep[::-1]]
+        A = BCRSMatrix.from_block_coo(6, 6, rows, cols, blocks, sum_duplicates=False)
+        row_ptr, col_ind, ref = _reference_from_block_coo(6, 6, rows, cols, blocks)
+        np.testing.assert_array_equal(A.row_ptr, row_ptr)
+        np.testing.assert_array_equal(A.col_ind, col_ind)
+        assert A.blocks.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_empty_input(self, b):
+        A = BCRSMatrix.from_block_coo(4, 2, [], [], np.zeros((0, b, b)))
+        row_ptr, col_ind, ref = _reference_from_block_coo(4, 2, [], [], np.zeros((0, b, b)))
+        np.testing.assert_array_equal(A.row_ptr, row_ptr)
+        assert A.nnzb == 0 and A.blocks.shape == ref.shape
+
+
 class TestBlockIdentity:
     def test_identity_matvec(self):
         I = BCRSMatrix.block_identity(4, scale=2.5)

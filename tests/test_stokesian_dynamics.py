@@ -157,24 +157,40 @@ class TestStokesianDynamics:
         assert len(sd.history) == 2
         assert [r.step_index for r in sd.history] == [0, 1]
 
-    def test_one_neighbor_search_per_configuration(self, small_system, monkeypatch):
-        """A step searches r_k and r_{k+1/2} once each: R_k and both
-        displacements share r_k's pair list."""
-        import repro.stokesian.dynamics as dynamics
+    def test_skin_list_searches_once_and_matches_fresh_search(
+        self, small_system, monkeypatch
+    ):
+        """Three steps search the tree once: every later configuration is
+        filtered from the skin list, and each of its pair lists equals a
+        fresh search byte for byte."""
+        import repro.stokesian.neighbors as neighbors
         import repro.stokesian.resistance as resistance
 
-        searched = []
+        searched, compared = [], []
 
         def counting(system, **kw):
-            searched.append(system)
+            searched.append(kw)
             return neighbor_pairs(system, **kw)
 
-        monkeypatch.setattr(dynamics, "neighbor_pairs", counting)
+        filtered = neighbors.VerletList.pairs
+
+        def checked(self, system, max_gap):
+            nl = filtered(self, system, max_gap)
+            fresh = neighbor_pairs(system, max_gap=max_gap)
+            for name in ("i", "j", "r_vec", "dist"):
+                assert getattr(nl, name).tobytes() == getattr(fresh, name).tobytes()
+            compared.append(system)
+            return nl
+
+        monkeypatch.setattr(neighbors, "neighbor_pairs", counting)
         monkeypatch.setattr(resistance, "neighbor_pairs", counting)
+        monkeypatch.setattr(neighbors.VerletList, "pairs", checked)
         sd = StokesianDynamics(small_system, SDParameters(), rng=11)
         sd.run(3)
-        assert len(searched) == 6
-        assert len({id(s) for s in searched}) == 6
+        assert len(searched) == 1
+        # r_k and r_{k+1/2} of each step, each filtered once.
+        assert len(compared) == 6
+        assert len({id(s) for s in compared}) == 6
 
 
 class TestBrownianDynamics:

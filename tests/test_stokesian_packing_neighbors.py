@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.stokesian.neighbors import neighbor_pairs
+import repro.stokesian.neighbors as neighbors
+from repro.stokesian.neighbors import SKIN, VerletList, neighbor_pairs
 from repro.stokesian.packing import (
     box_edge_for_fraction,
     default_clearance,
@@ -64,6 +65,25 @@ class TestRelaxOverlaps:
         s = ParticleSystem([[1.0] * 3], [0.5], [10.0] * 3)
         with pytest.raises(ValueError):
             relax_overlaps(s, push_factor=1.0)
+
+    # The packings the benchmark workloads start from: sd_step,
+    # solve_replay and the service_mix job specs.
+    SPECS = [(1000, 0.3, 1), (1000, 0.3, 2), (2000, 0.4, 1)] + [
+        (32, 0.3, seed) for seed in range(8, 24)
+    ]
+
+    def test_skin_list_relaxation_equals_fresh_search(self, monkeypatch):
+        """Relaxing through the skin list gives the configuration a fresh
+        overlap search every sweep gives, byte for byte."""
+        skin = [random_configuration(n, phi, rng=seed) for n, phi, seed in self.SPECS]
+        monkeypatch.setattr(
+            neighbors.VerletList,
+            "pairs",
+            lambda self, system, max_gap: neighbor_pairs(system, max_gap=max_gap),
+        )
+        for spec, got in zip(self.SPECS, skin):
+            want = random_configuration(spec[0], spec[1], rng=spec[2])
+            assert got.positions.tobytes() == want.positions.tobytes(), spec
 
 
 class TestRandomConfiguration:
@@ -182,3 +202,51 @@ class TestNeighborPairs:
         nl = neighbor_pairs(s, cutoff=1.5)
         assert nl.n_pairs == 1
         assert nl.dist[0] == pytest.approx(1.0)
+
+
+class TestVerletList:
+    def _two(self, x1, radii=(0.5, 0.7)):
+        return ParticleSystem([[5.0, 5.0, 5.0], [x1, 5.0, 5.0]], list(radii), [20.0] * 3)
+
+    def test_pair_exactly_at_gap_is_kept(self):
+        moved = self._two(6.31)
+        gap = float(moved.positions[1, 0] - moved.positions[0, 0]) - 1.2
+        nl = VerletList().pairs(moved, gap)
+        assert nl.n_pairs == 1
+        assert nl.dist.tobytes() == neighbor_pairs(moved, max_gap=gap).dist.tobytes()
+
+    def test_reuses_candidates_within_half_skin(self):
+        start = self._two(6.5)
+        half_skin = 0.5 * SKIN * float(start.radii.mean())
+        verlet = VerletList()
+        verlet.pairs(start, 0.5)
+        built = verlet._candidates
+        verlet.pairs(self._two(6.5 + 0.9 * half_skin), 0.5)
+        assert verlet._candidates is built
+        verlet.pairs(self._two(6.5 + 1.1 * half_skin), 0.5)
+        assert verlet._candidates is not built
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: (s, 0.6),
+            lambda s: (ParticleSystem(s.positions, [0.5, 0.8], s.box), 0.5),
+            lambda s: (ParticleSystem(s.positions, s.radii, [21.0] * 3), 0.5),
+            lambda s: (ParticleSystem(s.positions[:1], s.radii[:1], s.box), 0.5),
+        ],
+        ids=["max_gap", "radii", "box", "n"],
+    )
+    def test_rebuilds_when_geometry_or_gap_changes(self, change):
+        verlet = VerletList()
+        verlet.pairs(self._two(6.5), 0.5)
+        built = verlet._candidates
+        system, gap = change(self._two(6.5))
+        nl = verlet.pairs(system, gap)
+        assert verlet._candidates is not built
+        want = neighbor_pairs(system, max_gap=gap)
+        assert nl.i.tobytes() == want.i.tobytes()
+        assert nl.dist.tobytes() == want.dist.tobytes()
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError):
+            VerletList().pairs(self._two(6.5), -0.1)
