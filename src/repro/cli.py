@@ -358,11 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         "crash, e.g. 'drop:src=0,dest=1,seq=2;crash:rank=1,step=5'",
     )
     dist.add_argument(
-        "--reliable",
-        action="store_true",
-        help="force the deadline/retry halo protocol even without faults",
-    )
-    dist.add_argument(
         "--deadline",
         type=int,
         default=4,
@@ -1209,7 +1204,6 @@ def _cmd_distsim(args) -> int:
         partition,
         X0,
         fault_plan=plan,
-        reliable=True if args.reliable else None,
         recovery=recovery,
         max_recoveries=args.max_recoveries,
         deadline=args.deadline,
@@ -1233,7 +1227,7 @@ def _cmd_distsim(args) -> int:
         f"completed {sim.step_index} steps on {sim.n_parts} rank(s) "
         f"(started with {partition.n_parts}); m={sim.m}"
     )
-    if plan is not None or args.reliable:
+    if plan is not None:
         counts = {
             k: len(ex.get(k) or ())
             for k in ("timeouts", "resends", "stragglers", "corrupted")

@@ -47,7 +47,12 @@ class DistributedSimulation:
     X0:
         Initial ``(n, m)`` multivector (or ``(n,)``, treated as m=1).
     fault_plan:
-        Optional channel-fault plan armed on the cluster substrate.
+        Optional channel-fault plan armed on the cluster substrate.  A
+        plan with at least one spec runs every multiply through the
+        robust (deadline/retry) halo exchange; without one — or with an
+        empty plan — the plain exchange runs, unless the active fault
+        injector holds a ``comm.exchange`` spec (see
+        :class:`~repro.distributed.simcluster.DistributedGspmv`).
     recovery:
         Optional :class:`~repro.distributed.recovery.RankRecoveryManager`;
         with one attached, :meth:`step` recovers from
@@ -56,7 +61,7 @@ class DistributedSimulation:
     max_recoveries:
         Rank-recovery budget across the simulation's lifetime.
     deadline, max_retries:
-        Reliable-exchange knobs, forwarded to
+        Robust-exchange knobs, forwarded to
         :class:`~repro.distributed.simcluster.DistributedGspmv`.
     """
 
@@ -67,7 +72,6 @@ class DistributedSimulation:
         X0: np.ndarray,
         *,
         fault_plan: Optional[ChannelFaultPlan] = None,
-        reliable: Optional[bool] = None,
         recovery: Optional[Any] = None,
         max_recoveries: int = 1,
         deadline: int = 4,
@@ -85,7 +89,6 @@ class DistributedSimulation:
         self.X = np.array(X0, copy=True)
         self.step_index = 0
         self.fault_plan = fault_plan
-        self.reliable = reliable
         self.deadline = int(deadline)
         self.max_retries = int(max_retries)
         self.recovery = recovery
@@ -98,7 +101,6 @@ class DistributedSimulation:
             self.A,
             self.partition,
             fault_plan=self.fault_plan,
-            reliable=self.reliable,
             deadline=self.deadline,
             max_retries=self.max_retries,
         )

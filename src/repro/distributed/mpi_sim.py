@@ -30,7 +30,7 @@ fault-free implementation.
 
 Receives take an optional ``timeout`` (measured in scheduler sweeps);
 an expired wait resumes the program with the :data:`RECV_TIMEOUT`
-sentinel instead of a payload — the primitive the reliable halo
+sentinel instead of a payload — the primitive the robust halo
 exchange builds retry/backoff/failure-detection on.
 
 Example
@@ -54,6 +54,7 @@ from typing import (
     Callable,
     Dict,
     Generator,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -462,6 +463,16 @@ class MpiSim:
                 continue
             self._mailboxes.setdefault((src, dst, tag), deque()).append(payload)
         return True
+
+    def discard(self, tags: Iterable[int]) -> None:
+        """Drop every queued or held message on ``tags`` — the leftovers
+        (duplicates, late copies) of a protocol that will never read
+        those tags again, so a persistent engine does not grow."""
+        tags = set(tags)
+        self._mailboxes = {
+            k: q for k, q in self._mailboxes.items() if k[2] not in tags
+        }
+        self._delayed = [m for m in self._delayed if m[3] not in tags]
 
     def _try_take(self, src: int, dst: int, tag: int) -> Optional[np.ndarray]:
         box = self._mailboxes.get((src, dst, tag))

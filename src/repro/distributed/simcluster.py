@@ -36,7 +36,6 @@ from repro.distributed.mpi_sim import (
     MpiSim,
 )
 from repro.resilience.faults import (
-    ExchangeCorruptionError,
     RankFailure,
     active_injector,
     fire_fault,
@@ -60,6 +59,16 @@ def _empty_exchange_log() -> dict:
         "resends": [],
         "failed": [],
     }
+
+
+#: Exchange-log event kind -> its ``last_exchange`` key.
+_LOG_KEYS = {
+    "corrupted": "corrupted",
+    "repaired": "repaired",
+    "straggler": "stragglers",
+    "timeout": "timeouts",
+    "resend": "resends",
+}
 
 
 def _local_submatrix(
@@ -90,45 +99,35 @@ def _local_submatrix(
 class DistributedGspmv:
     """Numerically exact GSPMV distributed over simulated ranks.
 
+    ``multiply`` runs one of two exchange programs, chosen from what a
+    fault could reach (DESIGN.md §12, "Halo exchange"): the **plain**
+    exchange — one message per boundary edge, metered traffic equal to
+    the communication plan — when nothing can strike it, and the
+    **robust** deadline/retry exchange when ``fault_plan`` holds at
+    least one spec or the active
+    :class:`~repro.resilience.faults.FaultInjector` holds a
+    ``comm.exchange`` spec.  The robust exchange absorbs lost, late,
+    duplicated and corrupted boundary blocks, or raises
+    :class:`~repro.resilience.faults.RankFailure` naming the ranks it
+    gave up on.
+
     Parameters
     ----------
     A, partition:
         Global matrix and row partition.
-    verify_exchange:
-        Attach a CRC-32 checksum (:func:`~repro.distributed.comm.block_checksum`)
-        to every boundary-block message and verify it on receipt.
-        Corrupted blocks are re-requested from their owner for up to
-        ``max_repair_rounds`` status/resend rounds; a block that stays
-        corrupt raises :class:`~repro.resilience.faults.ExchangeCorruptionError`
-        (the point where a real system declares the sender failed).
-        Off by default: the unverified path is byte-identical to the
-        seed implementation.
-    max_repair_rounds:
-        Bounded re-request budget per GSPMV.
     fault_plan:
         Optional :class:`~repro.distributed.mpi_sim.ChannelFaultPlan`
         armed on the underlying engine: lossy channels (drop, delay,
         duplicate, corrupt) and crash-stop rank death.  Arming a plan
-        switches the exchange to the **reliable** protocol below and
         makes the engine *persistent* across multiplies, so fault
         budgets, channel sequence numbers, and dead ranks carry over —
         a crashed rank stays dead.
-    reliable:
-        Deadline-based halo exchange: every boundary message carries a
-        ``(crc, round, src, exchange)`` header, receives are
-        timeout-bounded with bounded retry and exponential backoff,
-        duplicates and reorders are discarded idempotently by the
-        header check, late arrivals flag the sender as a straggler,
-        and a peer that is crash-stop dead or silent past the full
-        retry ladder raises
-        :class:`~repro.resilience.faults.RankFailure` naming the lost
-        ranks.  Defaults to ``fault_plan is not None``.
     deadline:
-        Scheduler sweeps a reliable receive waits before timing out
+        Scheduler sweeps a robust receive waits before timing out
         (the per-phase deadline; round ``r`` retries wait
         ``deadline * 2**r``).
     max_retries:
-        Bounded resend rounds of the reliable exchange.
+        Bounded resend rounds of the robust exchange.
     """
 
     def __init__(
@@ -136,27 +135,17 @@ class DistributedGspmv:
         A: BCRSMatrix,
         partition: Partition,
         *,
-        verify_exchange: bool = False,
-        max_repair_rounds: int = 2,
         fault_plan: Optional[ChannelFaultPlan] = None,
-        reliable: Optional[bool] = None,
         deadline: int = 4,
         max_retries: int = 3,
     ) -> None:
         if A.nb_rows != A.nb_cols:
             raise ValueError("matrix must be block-square")
-        if max_repair_rounds < 0:
-            raise ValueError("max_repair_rounds must be non-negative")
         if deadline < 1:
             raise ValueError("deadline must be >= 1 sweep")
         if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        self.verify_exchange = bool(verify_exchange)
-        self.max_repair_rounds = int(max_repair_rounds)
         self.fault_plan = fault_plan
-        self.reliable = (
-            bool(reliable) if reliable is not None else fault_plan is not None
-        )
         self.deadline = int(deadline)
         self.max_retries = int(max_retries)
         self.last_exchange: dict = _empty_exchange_log()
@@ -192,16 +181,24 @@ class DistributedGspmv:
 
     # ------------------------------------------------------------------
     def _get_sim(self) -> MpiSim:
-        """Fresh engine per multiply on the exact seed path; persistent
+        """Fresh engine per multiply without a channel plan; persistent
         engine (fault budgets, channel sequence numbers, dead ranks
-        carry over) when channel faults or the reliable protocol are
-        in play."""
+        carry over) with one."""
         p = self.partition.n_parts
-        if self.fault_plan is None and not self.reliable:
+        if self.fault_plan is None:
             return MpiSim(p)
         if self._sim is None:
             self._sim = MpiSim(p, fault_plan=self.fault_plan)
         return self._sim
+
+    def _faults_can_strike(self) -> bool:
+        """Can a fault reach this exchange?  Selects the robust program."""
+        if self.fault_plan is not None and len(self.fault_plan):
+            return True
+        injector = active_injector()
+        return injector is not None and any(
+            spec.site == "comm.exchange" for spec in injector.plan.specs
+        )
 
     def _record_exchange(self, sim: MpiSim, m: int) -> list:
         """Fold per-rank exchange logs into ``last_exchange`` + counters."""
@@ -211,13 +208,7 @@ class DistributedGspmv:
         ]
         log = _empty_exchange_log()
         for e in events:
-            kind = e[0]
-            if kind in ("resend", "status_timeout"):
-                log["resends"].append(e[1:])
-            elif kind == "timeout":
-                log["timeouts"].append(e[1:])
-            elif kind in log:
-                log[kind].append(e[1:])
+            log[_LOG_KEYS[e[0]]].append(e[1:])
         self.last_exchange = log
         hub = _telemetry.active_hub
         if hub is not None:
@@ -259,7 +250,7 @@ class DistributedGspmv:
 
         Raises :class:`~repro.resilience.faults.RankFailure` when a
         rank is crash-stop dead or a peer stayed silent past the
-        reliable exchange's full retry ladder.
+        robust exchange's full retry ladder.
         """
         X = np.asarray(X, dtype=np.float64)
         squeeze = X.ndim == 1
@@ -279,131 +270,154 @@ class DistributedGspmv:
         own_rows = self._own_rows
         col_maps = self._col_maps
 
-        verify = self.verify_exchange
-        max_rounds = self.max_repair_rounds
         deadline = self.deadline
         retries = self.max_retries
         xid = self._xid
         self._xid += 1
+        # The robust exchange's frames and status messages ride on two
+        # tags of their own per exchange (the plain exchange uses 0), so
+        # a frame left over from an earlier multiply is never read.
+        ftag, stag = 2 * xid + 1, 2 * xid + 2
 
-        def send_boundary(ctx, dest, *, rnd, data_tag, crc_tag):
-            """One boundary-block message (checksum computed pre-fault,
-            so in-transit corruption is detectable)."""
-            payload = Xb[plan.send_cols[ctx.rank][dest]]
-            crc = block_checksum(payload)
-            fault = fire_fault(
-                "comm.exchange", src=ctx.rank, dest=dest, round=rnd
-            )
-            if fault is not None:
-                payload = fault.mutate(payload, active_injector().rng)
-            ctx.send(dest, tag=data_tag, payload=payload)
-            ctx.send(
-                dest, tag=crc_tag, payload=np.array([crc], dtype=np.uint64)
+        def local_vector(r):
+            """Rank ``r``'s local X (own rows first, then the received
+            blocks in source order) and each source's ``(offset, k)``."""
+            own = own_rows[r]
+            X_local = np.zeros((len(col_maps[r]), b, m))
+            X_local[: len(own)] = Xb[own]
+            slots = {}
+            offset = len(own)
+            for src in sorted(plan.recv_cols[r]):
+                k = len(plan.recv_cols[r][src])
+                slots[src] = (offset, k)
+                offset += k
+            return X_local, slots
+
+        def finish(ctx, X_local):
+            ctx.result = gspmv(
+                locals_[ctx.rank], X_local.reshape(len(X_local) * b, m)
             )
 
-        def reliable_program(ctx):
+        def plain_program(ctx):
+            r = ctx.rank
+            # Post all sends first (nonblocking style).
+            for dest in sorted(plan.send_cols[r]):
+                ctx.send(dest, tag=0, payload=Xb[plan.send_cols[r][dest]])
+            X_local, slots = local_vector(r)
+            # Receive boundary blocks in deterministic source order.
+            for src, (lo, k) in slots.items():
+                X_local[lo : lo + k] = yield ctx.recv(src, tag=0)
+            finish(ctx, X_local)
+
+        def robust_program(ctx):
             """Deadline-based halo exchange with retry, backoff, and
             idempotent frame acceptance.
 
-            Every boundary block travels as a DATA frame plus a header
-            frame ``[crc, round, src, exchange]``; the header check
-            discards duplicated, reordered, or stale frames, so
-            retransmissions are idempotent.  Receives are bounded by
-            ``deadline * 2**round`` sweeps; each retry round exchanges
-            status messages (1 = resend please, 0 = confirmed) on every
-            boundary edge, and a silent status wait falls back to a
-            blind (idempotent) resend.  A peer that is crash-stop dead
-            or still missing after the full ladder lands in
-            ``ctx.failed_sources`` — the multiply turns that into
-            :class:`RankFailure`.
+            Every boundary block travels as one frame ``[crc, round,
+            src, xid, *block]`` (checksum computed before any fault, so
+            corruption in transit is caught) on this exchange's frame
+            tag.  A receiver reads a source's frames in arrival order
+            until one passes the header check, so duplicates and
+            corrupt copies are discarded and a resend that missed its
+            own round's deadline still lands in a later round.
+            Receives are bounded by ``deadline * 2**round`` sweeps.
+            Each retry round opens with every receiver sending each
+            source a status on the status tag (``[1.0]`` = resend
+            please, ``[0.0]`` = confirmed; a block repaired mid-round
+            is confirmed at once), and each sender serving the statuses
+            of its unconfirmed destinations as they arrive.  A peer
+            that is crash-stop dead or still missing after the full
+            ladder lands in ``ctx.failed_sources`` — the multiply turns
+            that into :class:`RankFailure`.
             """
-            ctx.exchange_log = []
+            ctx.exchange_log = log = []
             ctx.failed_sources = []
             r = ctx.rank
             ctx.death_site(step=step)
-            own = own_rows[r]
             sends = sorted(plan.send_cols[r])
-            recvs = sorted(plan.recv_cols[r])
-            base = 4 * xid * (retries + 1)
 
-            def dtag(rnd):
-                return base + 4 * rnd
-
-            def htag(rnd):
-                return base + 4 * rnd + 1
-
-            def stag(rnd):
-                return base + 4 * rnd + 2
-
-            def send_pair(dest, rnd):
-                payload = Xb[plan.send_cols[r][dest]]
-                crc = block_checksum(payload)
-                fault = fire_fault(
-                    "comm.exchange", src=r, dest=dest, round=rnd
-                )
+            def send_frame(dest, rnd):
+                block = Xb[plan.send_cols[r][dest]]
+                crc = block_checksum(block)
+                fault = fire_fault("comm.exchange", src=r, dest=dest, round=rnd)
                 if fault is not None:
-                    payload = fault.mutate(payload, active_injector().rng)
-                ctx.send(dest, tag=dtag(rnd), payload=payload)
+                    block = fault.mutate(block, active_injector().rng)
+                header = [float(crc), float(rnd), float(r), float(xid)]
                 ctx.send(
-                    dest,
-                    tag=htag(rnd),
-                    payload=np.array(
-                        [float(crc), float(rnd), float(r), float(xid)]
-                    ),
+                    dest, tag=ftag, payload=np.concatenate([header, block.ravel()])
                 )
 
             for dest in sends:
-                send_pair(dest, 0)
+                send_frame(dest, 0)
+            X_local, slots = local_vector(r)
 
-            n_local_cols = len(col_maps[r])
-            X_local = np.zeros((n_local_cols, b, m))
-            X_local[: len(own)] = Xb[own]
-            offsets = {}
-            offset = len(own)
-            for src in recvs:
-                offsets[src] = offset
-                offset += len(plan.recv_cols[r][src])
+            def receive(src, rnd, wait):
+                """Read ``src``'s frames until one is valid ("ok") or a
+                wait expires ("corrupt" if a bad frame came first, else
+                "timeout")."""
+                lo, k = slots[src]
+                verdict = "timeout"
+                while True:
+                    frame = yield ctx.recv(src, tag=ftag, timeout=wait)
+                    if frame is RECV_TIMEOUT:
+                        return verdict
+                    block = frame[4:]
+                    if (
+                        block.size == k * b * m
+                        and frame[2] == src
+                        and frame[3] == xid
+                        and block_checksum(block.reshape(k, b, m)) == frame[0]
+                    ):
+                        X_local[lo : lo + k] = block.reshape(k, b, m)
+                        return "ok"
+                    verdict = "corrupt"
+                    log.append(("corrupted", src, r, rnd))
 
-            def accept(src, data, hdr, rnd):
-                if data is RECV_TIMEOUT or hdr is RECV_TIMEOUT:
-                    return "timeout"
-                k = len(plan.recv_cols[r][src])
-                if (
-                    hdr.shape != (4,)
-                    or int(hdr[1]) != rnd
-                    or int(hdr[2]) != src
-                    or int(hdr[3]) != xid
-                    or data.shape != (k, b, m)
-                ):
-                    return "corrupt"
-                if block_checksum(data) != int(hdr[0]):
-                    return "corrupt"
-                X_local[offsets[src] : offsets[src] + k] = data
-                return "ok"
+            def serve_statuses(unconfirmed, rnd, wait):
+                """Poll the ``unconfirmed`` destinations, one sweep per
+                poll, for up to ``wait`` sweeps: a confirmation settles
+                one, a request (or a corrupted status) gets a resend at
+                once, and each still silent after the window gets a
+                blind resend.  Lost request or lost confirmation — can't
+                tell; the header check makes a spare copy harmless."""
+                pending = set(unconfirmed)
+                polls = 0
+                while pending and polls < wait:
+                    for dest in sorted(pending):
+                        status = yield ctx.recv(dest, tag=stag, timeout=1)
+                        polls += 1
+                        if status is RECV_TIMEOUT:
+                            continue
+                        pending.discard(dest)
+                        # Exact match: seeded corruption never lands on
+                        # 0.0, and a confirmation is final, so a stale
+                        # one from an earlier round is still true.
+                        if np.array_equal(status, [0.0]):
+                            unconfirmed.discard(dest)
+                        else:
+                            log.append(("resend", dest, r, rnd))
+                            send_frame(dest, rnd)
+                for dest in sorted(pending):
+                    log.append(("resend", dest, r, rnd))
+                    send_frame(dest, rnd)
 
             missing = set()
             slow = set()
-            for src in recvs:
-                data = yield ctx.recv(src, tag=dtag(0), timeout=deadline)
-                hdr = RECV_TIMEOUT
-                if data is not RECV_TIMEOUT:
-                    hdr = yield ctx.recv(src, tag=htag(0), timeout=deadline)
-                verdict = accept(src, data, hdr, 0)
+            for src in slots:
+                verdict = yield from receive(src, 0, deadline)
                 if verdict == "ok":
                     continue
                 missing.add(src)
                 if verdict == "timeout":
                     slow.add(src)
-                    ctx.exchange_log.append(("timeout", src, r, 0))
-                else:
-                    ctx.exchange_log.append(("corrupted", src, r, 0))
+                    log.append(("timeout", src, r, 0))
 
             unconfirmed = set(sends)
             failed = set()
             rnd = 0
-            # rnd == 0 forces one confirmation round even when this
-            # rank already has everything — its senders are waiting
-            # for the all-clear.
+            # rnd == 0 forces one status round even when this rank
+            # already has everything — its senders are waiting for the
+            # all-clear.
             while rnd < retries and (missing or unconfirmed or rnd == 0):
                 rnd += 1
                 wait = deadline << rnd
@@ -414,132 +428,33 @@ class DistributedGspmv:
                 for dest in list(unconfirmed):
                     if ctx.peer_dead(dest):
                         unconfirmed.discard(dest)
-                for src in recvs:
+                for src in slots:
                     if src in failed or ctx.peer_dead(src):
                         continue
                     flag = 1.0 if src in missing else 0.0
-                    ctx.send(src, tag=stag(rnd), payload=np.array([flag]))
-                for dest in sorted(unconfirmed):
-                    status = yield ctx.recv(dest, tag=stag(rnd), timeout=wait)
-                    if status is RECV_TIMEOUT:
-                        # Lost request or lost confirmation — can't
-                        # tell, so resend; the header check makes the
-                        # extra copy harmless.
-                        ctx.exchange_log.append(("status_timeout", dest, r, rnd))
-                        send_pair(dest, rnd)
-                    elif int(status[0]):
-                        ctx.exchange_log.append(("resend", dest, r, rnd))
-                        send_pair(dest, rnd)
-                    else:
-                        unconfirmed.discard(dest)
+                    ctx.send(src, tag=stag, payload=np.array([flag]))
+                yield from serve_statuses(unconfirmed, rnd, wait)
                 for src in sorted(missing):
-                    data = yield ctx.recv(src, tag=dtag(rnd), timeout=wait)
-                    hdr = RECV_TIMEOUT
-                    if data is not RECV_TIMEOUT:
-                        hdr = yield ctx.recv(src, tag=htag(rnd), timeout=wait)
-                    verdict = accept(src, data, hdr, rnd)
+                    verdict = yield from receive(src, rnd, wait)
                     if verdict == "ok":
                         missing.discard(src)
+                        # Confirm at once: this rank may finish before
+                        # its next status round.
+                        ctx.send(src, tag=stag, payload=np.array([0.0]))
                         if src in slow:
                             # Exceeded the phase deadline but delivered:
                             # straggler, not failure.
-                            ctx.exchange_log.append(("straggler", src, r, rnd))
+                            log.append(("straggler", src, r, rnd))
                         else:
-                            ctx.exchange_log.append(("repaired", src, r, rnd))
+                            log.append(("repaired", src, r, rnd))
                     elif verdict == "timeout":
                         slow.add(src)
-                        ctx.exchange_log.append(("timeout", src, r, rnd))
-                    else:
-                        ctx.exchange_log.append(("corrupted", src, r, rnd))
+                        log.append(("timeout", src, r, rnd))
             failed |= missing
             if failed:
                 ctx.failed_sources = sorted(failed)
                 return
-            Y_local = gspmv(locals_[r], X_local.reshape(n_local_cols * b, m))
-            ctx.result = Y_local
-
-        def program(ctx):
-            ctx.exchange_log = []
-            r = ctx.rank
-            own = own_rows[r]
-            sends = sorted(plan.send_cols[r])
-            recvs = sorted(plan.recv_cols[r])
-            # Post all sends first (nonblocking style).
-            for dest in sends:
-                if verify:
-                    send_boundary(ctx, dest, rnd=0, data_tag=0, crc_tag=1)
-                else:
-                    payload = Xb[plan.send_cols[r][dest]]
-                    fault = fire_fault(
-                        "comm.exchange", src=r, dest=dest, round=0
-                    )
-                    if fault is not None:
-                        payload = fault.mutate(payload, active_injector().rng)
-                    ctx.send(dest, tag=0, payload=payload)
-            # Local X blocks land at the front of the local numbering.
-            n_local_cols = len(col_maps[r])
-            X_local = np.zeros((n_local_cols, b, m))
-            X_local[: len(own)] = Xb[own]
-            # Receive boundary blocks in deterministic source order.
-            offset = len(own)
-            offsets = {}
-            bad = []
-            for src in recvs:
-                payload = yield ctx.recv(src, tag=0)
-                k = payload.shape[0]
-                offsets[src] = offset
-                X_local[offset : offset + k] = payload
-                offset += k
-                if verify:
-                    crc = yield ctx.recv(src, tag=1)
-                    if block_checksum(payload) != int(crc[0]):
-                        bad.append(src)
-                        ctx.exchange_log.append(("corrupted", src, r, 0))
-            if verify:
-                # Bounded repair: every round exchanges a status message
-                # on *every* boundary edge (so no rank can deadlock
-                # waiting for a peer that finished early), then resends
-                # exactly the requested blocks.
-                for rnd in range(1, max_rounds + 1):
-                    status_tag = 3 * rnd
-                    data_tag = 3 * rnd + 1
-                    crc_tag = 3 * rnd + 2
-                    for src in recvs:
-                        flag = 1 if src in bad else 0
-                        ctx.send(
-                            src,
-                            tag=status_tag,
-                            payload=np.array([flag], dtype=np.int64),
-                        )
-                    for dest in sends:
-                        status = yield ctx.recv(dest, tag=status_tag)
-                        if int(status[0]):
-                            send_boundary(
-                                ctx, dest,
-                                rnd=rnd, data_tag=data_tag, crc_tag=crc_tag,
-                            )
-                    still_bad = []
-                    for src in recvs:
-                        if src not in bad:
-                            continue
-                        payload = yield ctx.recv(src, tag=data_tag)
-                        crc = yield ctx.recv(src, tag=crc_tag)
-                        k = payload.shape[0]
-                        X_local[offsets[src] : offsets[src] + k] = payload
-                        if block_checksum(payload) != int(crc[0]):
-                            still_bad.append(src)
-                            ctx.exchange_log.append(("corrupted", src, r, rnd))
-                        else:
-                            ctx.exchange_log.append(("repaired", src, r, rnd))
-                    bad = still_bad
-                if bad:
-                    raise ExchangeCorruptionError(
-                        f"rank {r}: boundary blocks from ranks {bad} stayed "
-                        f"corrupt after {max_rounds} repair rounds; "
-                        "declaring sender(s) failed"
-                    )
-            Y_local = gspmv(locals_[r], X_local.reshape(n_local_cols * b, m))
-            ctx.result = Y_local
+            finish(ctx, X_local)
 
         sim = self._get_sim()
         if sim.dead_ranks:
@@ -548,13 +463,11 @@ class DistributedGspmv:
                 f"rank(s) {sorted(sim.dead_ranks)} died in an earlier "
                 "exchange; recover before multiplying again",
             )
-        try:
-            contexts = sim.run(
-                reliable_program if self.reliable else program
-            )
-        except ExchangeCorruptionError:
-            self._record_exchange(sim, m)
-            raise
+        if self._faults_can_strike():
+            contexts = sim.run(robust_program)
+            sim.discard((ftag, stag))
+        else:
+            contexts = sim.run(plain_program)
         self._record_exchange(sim, m)
 
         failed = set(sim.dead_ranks)

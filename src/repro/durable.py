@@ -3,7 +3,9 @@
 Every kept file is either *published* whole or *appended* line by
 line; each rule has one implementation here (DESIGN.md §18):
 
-* :func:`publish` — the only atomic write (temp file, ``os.replace``);
+* :func:`publish` — the only atomic write (temp file, ``os.replace``),
+  and :func:`remove_orphans` — the only cleanup of the temp file a
+  killed publish leaves behind;
 * :func:`scan` — the only longest-valid-prefix reader;
 * :func:`repair_tail` — the only tail repair before an append.
 
@@ -13,18 +15,29 @@ A leaf module: it imports nothing from :mod:`repro` at module level.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
+import threading
 from pathlib import Path
-from typing import IO, Any, Callable, List, Tuple, Union
+from typing import IO, Any, Callable, List, Set, Tuple, Union
 
 __all__ = [
-    "DECODE_ERRORS", "fsync_dir", "publish", "repair_tail", "scan", "tail_end",
+    "DECODE_ERRORS", "fsync_dir", "is_publish_temp", "publish",
+    "remove_orphans", "repair_tail", "scan", "tail_end",
 ]
 
 PathLike = Union[str, Path]
 
 #: What a line decoder raises to reject a line.
 DECODE_ERRORS = (ValueError, KeyError, TypeError, UnicodeDecodeError)
+
+#: ``<name>.<mkstemp random>.tmp`` — the temp file of a :func:`publish`.
+_TEMP_NAME = re.compile(r".+\.[A-Za-z0-9_]{8}\.tmp")
+
+#: Temps of the publishes running in this process, guarded by
+#: ``_TEMPS_LOCK`` so :func:`remove_orphans` never takes a live one.
+_IN_FLIGHT: Set[str] = set()
+_TEMPS_LOCK = threading.Lock()
 
 
 def fsync_dir(path: PathLike) -> None:
@@ -58,9 +71,11 @@ def publish(
     from repro.resources.iofaults import check_io_faults
 
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
+    with _TEMPS_LOCK:
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+        )
+        _IN_FLIGHT.add(os.path.abspath(tmp))
     try:
         with os.fdopen(fd, "w+b") as fh:
             check_io_faults(path, writer=writer)
@@ -74,7 +89,33 @@ def publish(
     except BaseException:
         Path(tmp).unlink(missing_ok=True)
         raise
+    finally:
+        _IN_FLIGHT.discard(os.path.abspath(tmp))
     return path
+
+
+def is_publish_temp(path: PathLike) -> bool:
+    """Is ``path`` named like a :func:`publish` temp file?"""
+    return _TEMP_NAME.fullmatch(Path(path).name) is not None
+
+
+def remove_orphans(directory: PathLike, pattern: str) -> List[Path]:
+    """Delete the temps that killed publishes of ``directory/<pattern>``
+    left behind (``pattern`` is a glob over destination names) and
+    return them.  Temps of publishes still running in this process are
+    kept; the caller vouches that no other process publishes there —
+    recovery of a single-writer file at start-up."""
+    removed = []
+    with _TEMPS_LOCK:
+        for tmp in Path(directory).glob(pattern + ".*.tmp"):
+            if not is_publish_temp(tmp) or os.path.abspath(tmp) in _IN_FLIGHT:
+                continue
+            try:
+                tmp.unlink()
+            except OSError:
+                continue
+            removed.append(tmp)
+    return removed
 
 
 def scan(

@@ -29,7 +29,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.faults import (
     BlockSolveBroken,
-    ExchangeCorruptionError,
     FaultEvent,
     FaultInjected,
     FaultInjector,
@@ -57,7 +56,6 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "BlockSolveBroken",
-    "ExchangeCorruptionError",
     "FaultEvent",
     "FaultInjected",
     "FaultInjector",

@@ -30,6 +30,7 @@ strings and ``None`` ride in a JSON tree indexing into it
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import logging
@@ -43,6 +44,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 import repro.telemetry as _telemetry
+from repro.durable import remove_orphans
 from repro.io import atomic_savez
 from repro.util.rng import rng_from_json, rng_state_to_json  # noqa: F401  (re-export)
 
@@ -205,6 +207,10 @@ class CheckpointManager:
         self.prefix = prefix
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.governor = governor
+        # A save killed mid-publish leaves its temp file behind.
+        for d in (self.directory, self.spill_dir):
+            if d is not None:
+                remove_orphans(d, glob.escape(prefix) + "-*")
         self.spills = 0
         self._queue: Optional[queue.Queue] = None
         self._worker: Optional[threading.Thread] = None

@@ -25,8 +25,10 @@ site                        instrumented location
 ``brownian.forcing``        ``StokesianDynamics.step`` — corrupts ``f^B``
 ``mrhs.block_breakdown``    ``MrhsStokesianDynamics._solve_block`` — raises
                             :class:`BlockSolveBroken` before the block solve
-``comm.exchange``           ``DistributedGspmv`` boundary send — corrupts or
-                            drops a boundary block in transit
+``comm.exchange``           ``DistributedGspmv`` boundary send — mutates a
+                            boundary block in transit; arming it selects the
+                            robust exchange, which repairs it or raises
+                            :class:`RankFailure`
 ``cluster.straggler``       ``MultiNodeTimeModel.rank_time`` — scales one
                             rank's time by ``factor``
 ``runner.abort``            ``ResilientRunner`` step loop — raises
@@ -63,7 +65,6 @@ __all__ = [
     "FaultInjected",
     "BlockSolveBroken",
     "SimulationKilled",
-    "ExchangeCorruptionError",
     "RankFailure",
     "fire_fault",
     "arm",
@@ -107,8 +108,9 @@ _FAULT_SITES: Dict[str, Tuple[str, str]] = {
     ),
     "comm.exchange": (
         "distributed",
-        "DistributedGspmv boundary send — corrupts or drops a boundary "
-        "block in transit",
+        "DistributedGspmv boundary send — mutates a boundary block in "
+        "transit; arming it selects the robust exchange, which repairs "
+        "the block or raises RankFailure naming the sender",
     ),
     "cluster.straggler": (
         "distributed",
@@ -169,25 +171,15 @@ class SimulationKilled(FaultInjected):
     """The run was killed mid-flight (simulated process death)."""
 
 
-class ExchangeCorruptionError(RuntimeError):
-    """A boundary block stayed corrupt after the bounded repair rounds.
-
-    Raised by the verified distributed exchange when re-requests are
-    exhausted — the point at which a real system would declare the
-    sending rank failed.  *Not* a :class:`FaultInjected`: it is the
-    detector's honest report, not the fault itself.
-    """
-
-
 class RankFailure(RuntimeError):
     """One or more ranks are unusable: crash-stop dead, or unresponsive
-    past the reliable exchange's full retry ladder.
+    past the robust halo exchange's full retry ladder (a sender whose
+    every copy of a boundary block arrived corrupt included).
 
     Carries the failed rank ids in ``ranks`` so the recovery layer
     (:class:`~repro.distributed.recovery.RankRecoveryManager`) knows
-    whose block rows to re-home.  Like
-    :class:`ExchangeCorruptionError`, this is the detector's report,
-    not the injected fault itself.
+    whose block rows to re-home.  *Not* a :class:`FaultInjected`: it is
+    the detector's report, not the injected fault itself.
     """
 
     def __init__(self, ranks, message: Optional[str] = None) -> None:

@@ -9,6 +9,7 @@ from repro.resources.governor import (
     CLASS_DURABLE,
     CLASS_FLIGHT,
     CLASS_TELEMETRY,
+    CLASS_TEMP,
     MemoryGuard,
     ResourceExhausted,
     ResourceGovernor,
@@ -31,6 +32,7 @@ __all__ = [
     "CLASS_DURABLE",
     "CLASS_FLIGHT",
     "CLASS_TELEMETRY",
+    "CLASS_TEMP",
     "DEFAULT_STREAM_BUDGET",
     "IO_FAULT_SITES",
     "MemoryGuard",

@@ -11,6 +11,12 @@ class                 rank  contents
 ``telemetry``            2  trace/events/metrics streams + exports
 ====================  ====  =============================================
 
+A fourth class, ``temp`` (3), is no artifact at all: the temp file of
+a :func:`repro.durable.publish` in flight, or the orphan a killed one
+left.  It is counted apart so litter never passes for durable state;
+the owning writer's recovery removes orphans
+(:func:`repro.durable.remove_orphans`).
+
 The :class:`ResourceGovernor` never deletes class-0 artifacts and never
 touches *active* stream files — :meth:`emergency_release` reclaims only
 sealed telemetry segments (oldest first), then whole flight bundles
@@ -36,12 +42,14 @@ import resource
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.durable import is_publish_temp
 from repro.resources.rotate import sealed_segments
 
 __all__ = [
     "CLASS_DURABLE",
     "CLASS_FLIGHT",
     "CLASS_TELEMETRY",
+    "CLASS_TEMP",
     "MemoryGuard",
     "ResourceExhausted",
     "ResourceGovernor",
@@ -53,6 +61,7 @@ logger = logging.getLogger(__name__)
 CLASS_DURABLE = 0
 CLASS_FLIGHT = 1
 CLASS_TELEMETRY = 2
+CLASS_TEMP = 3
 
 #: Stream stems whose files (and sealed segments) are telemetry-class.
 _TELEMETRY_STEMS = ("trace", "events", "metrics")
@@ -130,6 +139,8 @@ class ResourceGovernor:
     def classify(path: Union[str, Path]) -> int:
         """Seniority class of one artifact path."""
         path = Path(path)
+        if is_publish_temp(path):
+            return CLASS_TEMP
         if "flight" in path.parts[:-1]:
             return CLASS_FLIGHT
         stem = path.stem.split(".")[0]
@@ -143,9 +154,9 @@ class ResourceGovernor:
 
     def usage(self) -> Dict[str, int]:
         """Bytes on disk per seniority class under ``directory``."""
-        totals = {"durable": 0, "flight": 0, "telemetry": 0}
+        totals = {"durable": 0, "flight": 0, "telemetry": 0, "temp": 0}
         names = {CLASS_DURABLE: "durable", CLASS_FLIGHT: "flight",
-                 CLASS_TELEMETRY: "telemetry"}
+                 CLASS_TELEMETRY: "telemetry", CLASS_TEMP: "temp"}
         if not self.directory.exists():
             return totals
         for entry in self.directory.rglob("*"):

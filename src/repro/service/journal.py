@@ -33,6 +33,7 @@ live job table as one verified ``snapshot`` record.
 
 from __future__ import annotations
 
+import glob
 import itertools
 import json
 import os
@@ -40,7 +41,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.durable import publish, repair_tail, scan
+from repro.durable import publish, remove_orphans, repair_tail, scan
 from repro.resilience.faults import fire_fault
 from repro.resources.iofaults import check_io_faults
 from repro.service.errors import ManagerKilled
@@ -123,8 +124,10 @@ class JobJournal:
 
     def recover(self) -> List[JournalRecord]:
         """Replay the journal and repair its tail
-        (:func:`repro.durable.repair_tail`); :meth:`append` then
+        (:func:`repro.durable.repair_tail`), and remove the temp file a
+        compaction killed mid-publish left; :meth:`append` then
         continues the numbering after the valid prefix."""
+        remove_orphans(self.path.parent, glob.escape(self.path.name))
         data = self.path.read_bytes() if self.path.exists() else b""
         records, valid = _scan(data)
         repair_tail(self.path, data, valid)

@@ -410,7 +410,7 @@ def render_failover_table(
     """The failover table: what the distributed fault machinery did.
 
     Joins the ``dist.*`` / ``recovery.*`` counters (and the
-    ``recovery.seconds`` histogram) recorded by the reliable halo
+    ``recovery.seconds`` histogram) recorded by the robust halo
     exchange and the rank-recovery protocol into one table.  Returns
     ``None`` when the run recorded none of them — single-node runs get
     no empty section.

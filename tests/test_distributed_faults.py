@@ -1,9 +1,9 @@
-"""Tests for channel fault injection and the reliable halo exchange.
+"""Tests for channel fault injection and the robust halo exchange.
 
-The contract under test (DESIGN.md §12): with no fault plan armed the
+The contract under test (DESIGN.md §12, "Halo exchange"): with no fault plan armed the
 engine and the exchange are bitwise-identical to the legacy path; with
-a *survivable* plan (drops, delays, duplicates within the retry
-budget) the reliable exchange still produces the bitwise-identical
+a *survivable* plan (drops, delays, duplicates, corruptions within the
+retry budget) the robust exchange still produces the bitwise-identical
 result; crash-stop death surfaces as :class:`RankFailure` naming the
 dead ranks.
 """
@@ -19,11 +19,14 @@ from repro.distributed.mpi_sim import (
     MpiSim,
     RankCrashed,
 )
-from repro.distributed.partition import contiguous_partition
+from repro.distributed.partition import Partition, contiguous_partition
 from repro.distributed.simcluster import DistributedGspmv
+from repro.resilience import FaultPlan, FaultSpec, armed
 from repro.resilience.faults import RankFailure
+from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.gspmv import gspmv
 from tests.conftest import random_bcrs
+from tests.exchange_sweep import SweepCase, lethal_channel, run_case, sweep
 
 
 def _ping(ctx):
@@ -249,10 +252,15 @@ def _case(seed=0, nb=12, p=3, m=3):
 
 class TestReliableExchange:
     def test_reliable_matches_legacy_bitwise(self):
+        """A spec that never matches (no rank sends to itself) still
+        selects the robust exchange, which must equal the plain one."""
         A, part, X = _case()
         legacy = DistributedGspmv(A, part).multiply(X)
-        reliable = DistributedGspmv(A, part, reliable=True).multiply(X)
-        assert np.array_equal(legacy, reliable)
+        idle = ChannelFaultPlan(specs=(ChannelFaultSpec(kind="drop", src=0, dest=0),))
+        dist = DistributedGspmv(A, part, fault_plan=idle)
+        assert np.array_equal(legacy, dist.multiply(X))
+        assert dist._sim.fault_events == []
+        assert dist.last_traffic.messages_sent > dist.plan.total_messages()
 
     def test_fault_free_plan_armed_is_bitwise_identical(self):
         A, part, X = _case()
@@ -279,6 +287,14 @@ class TestReliableExchange:
             A, part, fault_plan=ChannelFaultPlan(specs=(spec,), seed=9)
         )
         assert np.array_equal(dist.multiply(X), clean)
+
+    def test_a_persistent_engine_keeps_no_leftovers(self):
+        A, part, X = _case(seed=2)
+        spec = ChannelFaultSpec(kind="duplicate", times=None)
+        dist = DistributedGspmv(A, part, fault_plan=ChannelFaultPlan(specs=(spec,)))
+        for _ in range(3):
+            dist.multiply(X)
+        assert dist._sim._mailboxes == {} and dist._sim._delayed == []
 
     def test_exchange_log_counts_recoveries(self):
         A, part, X = _case(seed=3)
@@ -333,3 +349,139 @@ class TestReliableExchange:
         np.testing.assert_allclose(
             dist.multiply(X), gspmv(A, X), rtol=1e-12, atol=1e-12
         )
+
+
+class TestExchangeSelection:
+    """The robust exchange runs exactly when a fault can reach it."""
+
+    def test_no_reachable_fault_runs_the_plain_exchange(self):
+        A, part, X = _case(seed=7)
+        dist = DistributedGspmv(A, part, fault_plan=ChannelFaultPlan())
+        unrelated = FaultPlan(specs=(FaultSpec(site="runner.abort"),))
+        with armed(unrelated):
+            dist.multiply(X)
+        assert dist.last_traffic.messages_sent == dist.plan.total_messages()
+
+    def test_armed_exchange_fault_runs_the_robust_exchange(self):
+        A, part, X = _case(seed=7)
+        dist = DistributedGspmv(A, part)
+        clean = dist.multiply(X)
+        with armed(FaultPlan(specs=(FaultSpec(site="comm.exchange", kind="zero"),))):
+            assert np.array_equal(dist.multiply(X), clean)
+        assert dist.last_traffic.messages_sent > dist.plan.total_messages()
+        assert len(dist.last_exchange["repaired"]) == 1
+
+
+def _pattern(nb, rows, cols):
+    """An ``nb``-block-row matrix with exactly the given block pattern."""
+    blocks = np.random.default_rng(0).standard_normal((len(rows), 3, 3))
+    return BCRSMatrix.from_block_coo(nb, nb, rows, cols, blocks)
+
+
+#: Survivable plans that once ended in RankFailure: a valid resend
+#: missed its round's deadline and was never read in a later round.
+#: The first is a hand reduction; the others come from a seeded sweep
+#: of the property test's own space (``tests/exchange_sweep.py``).
+#: name -> (matrix, part_of_row, m, plan)
+PINNED_PLANS = {
+    "late-resend": (
+        lambda: random_bcrs(6, 2.5, seed=851820),
+        [0, 1, 2, 3, 0, 1],
+        2,
+        ChannelFaultPlan(
+            specs=(
+                ChannelFaultSpec(kind="drop", src=1, dest=2, times=1),
+                ChannelFaultSpec(kind="corrupt", seq=1, times=2),
+            ),
+            seed=0,
+        ),
+    ),
+    "one-edge-delay-corrupt": (
+        lambda: _pattern(2, [0], [1]),
+        [0, 1],
+        1,
+        ChannelFaultPlan(
+            specs=(
+                ChannelFaultSpec(kind="delay", seq=0, times=1, delay=1),
+                ChannelFaultSpec(kind="corrupt", times=2),
+            ),
+            seed=29,
+        ),
+    ),
+    "two-edge-corrupt": (
+        lambda: _pattern(3, [0, 1], [2, 0]),
+        [0, 1, 0],
+        2,
+        ChannelFaultPlan(
+            specs=(
+                ChannelFaultSpec(kind="corrupt", seq=1, times=1),
+                ChannelFaultSpec(kind="corrupt", dest=0, seq=0, times=1),
+            ),
+            seed=92,
+        ),
+    ),
+}
+
+
+def test_a_resend_late_for_its_round_lands_in_a_later_one():
+    """Channel 0 -> 1 carries only rank 0's copies of its block: attempt
+    0 is dropped, attempt 1 is held past round 1's deadline, attempts 2
+    and 3 are dropped.  Only the late copy can deliver the block."""
+    A = _pattern(2, [1], [0])
+    part = Partition(part_of_row=np.array([0, 1]), n_parts=2)
+    X = np.random.default_rng(1).standard_normal((A.n_cols, 2))
+    plan = ChannelFaultPlan(
+        specs=(
+            ChannelFaultSpec(kind="delay", src=0, dest=1, seq=1, delay=12),
+            ChannelFaultSpec(kind="drop", src=0, dest=1, times=3),
+        )
+    )
+    dist = DistributedGspmv(A, part, fault_plan=plan)
+    assert np.array_equal(dist.multiply(X), DistributedGspmv(A, part).multiply(X))
+    assert dist.last_exchange["stragglers"] == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_pinned_plans_are_bitwise_invisible(name):
+    make_matrix, part_of_row, m, plan = PINNED_PLANS[name]
+    A = make_matrix()
+    part = Partition(part_of_row=np.array(part_of_row), n_parts=max(part_of_row) + 1)
+    X = np.random.default_rng(1).standard_normal((A.n_cols, m))
+    clean = DistributedGspmv(A, part).multiply(X)
+    assert np.array_equal(
+        DistributedGspmv(A, part, fault_plan=plan).multiply(X), clean
+    )
+
+
+class TestExchangeSweep:
+    """The seeded sweep (run in full by CI) and its counting argument."""
+
+    def test_a_short_sweep_is_clean(self):
+        assert sweep(200, seed=0)["failures"] == []
+
+    @staticmethod
+    def _case(rows, cols, plan):
+        A = _pattern(3, rows, cols)
+        part = Partition(part_of_row=np.array([0, 1, 2]), n_parts=3)
+        X = np.random.default_rng(1).standard_normal((A.n_cols, 2))
+        return SweepCase(A, part, X, plan)
+
+    FOUR_LOSSES = ChannelFaultPlan(
+        specs=(
+            ChannelFaultSpec(kind="drop", src=1, dest=2, times=2),
+            ChannelFaultSpec(kind="corrupt", src=1, dest=2, times=2),
+        )
+    )
+
+    def test_four_losses_on_a_one_way_channel_are_lethal(self):
+        case = self._case([2], [1], self.FOUR_LOSSES)
+        assert lethal_channel(case) == (1, 2)
+        assert run_case(case) == "rank_failure"
+
+    def test_status_traffic_on_the_channel_absorbs_them(self):
+        """With data both ways, 1 -> 2 also carries rank 1's status
+        messages about rank 2's block; the four strikes no longer all
+        land on block copies."""
+        case = self._case([2, 1], [1, 2], self.FOUR_LOSSES)
+        assert lethal_channel(case) is None
+        assert run_case(case) is None

@@ -7,13 +7,23 @@ line appended after the crash (DESIGN.md, "Durable I/O").
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.durable import publish, repair_tail, scan, tail_end
+from repro.durable import publish, remove_orphans, repair_tail, scan, tail_end
+from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultPlan, FaultSpec, arm, disarm
 from repro.resources import (
+    CLASS_TEMP,
+    ResourceGovernor,
     RotatingJsonlWriter,
     StreamBudget,
     read_jsonl_stream,
@@ -116,6 +126,117 @@ class TestPublish:
         with pytest.raises(OSError):
             publish(tmp_path / "b", lambda fh: fh.write(b"1"), writer="x")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+
+_KILL_INSIDE_PUBLISH = """
+import os, signal, sys
+from repro.durable import publish
+
+def die(fh):
+    fh.write(b"half")
+    fh.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+publish(sys.argv[1], die, writer="test")
+"""
+
+
+def _kill_inside_publish(dest):
+    """Publish ``dest`` in a child process SIGKILLed mid-write; returns
+    the temp file the kill left beside it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_INSIDE_PUBLISH, str(dest)], env=env
+    )
+    assert proc.returncode == -signal.SIGKILL
+    (temp,) = dest.parent.glob(dest.name + ".*.tmp")
+    return temp
+
+
+class TestOrphanedTemps:
+    def test_a_killed_publish_leaves_a_temp_that_is_not_durable(self, tmp_path):
+        dest = tmp_path / "journal.jsonl"
+        dest.write_bytes(b"old\n")
+        temp = _kill_inside_publish(dest)
+        assert dest.read_bytes() == b"old\n"
+        assert ResourceGovernor.classify(temp) == CLASS_TEMP
+        usage = ResourceGovernor(tmp_path).usage()
+        assert usage["durable"] == 4 and usage["temp"] == 4
+
+    def test_journal_recovery_removes_the_compaction_temp(self, tmp_path):
+        journal = JobJournal(tmp_path / "journal.jsonl")
+        journal.append({"op": "submit", "job_id": 1})
+        journal.close()
+        temp = _kill_inside_publish(journal.path)
+        other = tmp_path / "spec.json.abcd1234.tmp"
+        other.write_bytes(b"someone else's")
+        records = JobJournal(journal.path).recover()
+        assert [r["job_id"] for r in records] == [1]
+        assert not temp.exists() and other.exists()
+
+    def test_checkpoint_manager_start_removes_save_temps(self, tmp_path):
+        temp = _kill_inside_publish(tmp_path / "ckpt-000000003.npz")
+        other = tmp_path / "other.npz.abcd1234.tmp"
+        other.write_bytes(b"not a checkpoint")
+        CheckpointManager(tmp_path)
+        assert not temp.exists() and other.exists()
+
+    def test_a_publish_in_flight_keeps_its_temp(self, tmp_path):
+        seen = []
+
+        def write(fh):
+            fh.write(b"payload")
+            seen.append(remove_orphans(tmp_path, "out.bin"))
+            seen.append(len(list(tmp_path.glob("out.bin.*.tmp"))))
+
+        publish(tmp_path / "out.bin", write, writer="test", fsync=False)
+        assert seen == [[], 1]
+        assert (tmp_path / "out.bin").read_bytes() == b"payload"
+
+    def test_concurrent_removal_never_takes_a_live_temp(self, tmp_path):
+        """Publishers race a remover: every publish must still land."""
+        errors = []
+        stop = threading.Event()
+
+        def publisher(k):
+            try:
+                for i in range(40):
+                    publish(
+                        tmp_path / f"ckpt-{k}.npz",
+                        lambda fh, i=i: fh.write(b"%d" % i),
+                        writer="test", fsync=False,
+                    )
+            except OSError as exc:  # a temp removed under a publish
+                errors.append(exc)
+
+        def remover():
+            while not stop.is_set():
+                remove_orphans(tmp_path, "ckpt-*")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sweeper = threading.Thread(target=remover)
+            sweeper.start()
+            workers = [
+                threading.Thread(target=publisher, args=(k,))
+                for k in range(2 * (os.cpu_count() or 1) + 2)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            stop.set()
+            sweeper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not sweeper.is_alive()
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert all(
+            (tmp_path / f"ckpt-{k}.npz").read_bytes() == b"39"
+            for k in range(len(workers))
+        )
 
 
 class TestAppendAfterTornTail:

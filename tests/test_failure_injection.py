@@ -13,7 +13,7 @@ from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
 from repro.distributed.partition import contiguous_partition
 from repro.distributed.simcluster import DistributedGspmv
 from repro.resilience import FaultPlan, FaultSpec, ResilientRunner, armed
-from repro.resilience.faults import ExchangeCorruptionError
+from repro.resilience.faults import RankFailure
 from repro.solvers.block_cg import block_conjugate_gradient
 from repro.solvers.cg import conjugate_gradient
 from repro.solvers.chol import CholeskySolver
@@ -195,7 +195,7 @@ class TestDriverLevelFaults:
         A = random_bcrs(24, 4.0, seed=3, spd=True)
         part = contiguous_partition(A, 3)
         X = np.random.default_rng(0).standard_normal((A.n_rows, 4))
-        g = DistributedGspmv(A, part, verify_exchange=True)
+        g = DistributedGspmv(A, part)
         clean = g.multiply(X)
         plan = FaultPlan(
             specs=(
@@ -211,35 +211,19 @@ class TestDriverLevelFaults:
         assert g.last_exchange["corrupted"] == [(0, 1, 0)]
         assert g.last_exchange["repaired"] == [(0, 1, 1)]
 
-    def test_unverified_exchange_propagates_corruption_silently(self):
-        """Without verification the same fault slips through — the
-        behaviour the checksummed exchange exists to prevent."""
-        A = random_bcrs(24, 4.0, seed=3, spd=True)
-        part = contiguous_partition(A, 3)
-        X = np.random.default_rng(0).standard_normal((A.n_rows, 4))
-        g = DistributedGspmv(A, part)
-        clean = g.multiply(X)
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(
-                    site="comm.exchange", kind="corrupt", at={"round": 0}
-                ),
-            ),
-            seed=5,
-        )
-        with armed(plan):
-            corrupted = g.multiply(X)
-        assert not np.array_equal(corrupted, clean)
-
     def test_unrepairable_corruption_declares_rank_failed(self):
         A = random_bcrs(24, 4.0, seed=3, spd=True)
         part = contiguous_partition(A, 3)
         X = np.random.default_rng(0).standard_normal((A.n_rows, 2))
-        g = DistributedGspmv(A, part, verify_exchange=True)
+        g = DistributedGspmv(A, part)
         plan = FaultPlan(
             specs=(FaultSpec(site="comm.exchange", kind="zero", times=None),)
         )
-        with armed(plan), pytest.raises(
-            ExchangeCorruptionError, match="repair rounds"
-        ):
+        with armed(plan), pytest.raises(RankFailure) as err:
             g.multiply(X)
+        # Every rank's copies from its boundary senders stayed corrupt.
+        senders = {
+            s for r in range(part.n_parts) for s in g.plan.recv_cols[r]
+        }
+        assert set(err.value.ranks) == senders
+        assert g.last_exchange["failed"] == sorted(senders)

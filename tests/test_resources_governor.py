@@ -18,6 +18,7 @@ from repro.resources import (
     CLASS_DURABLE,
     CLASS_FLIGHT,
     CLASS_TELEMETRY,
+    CLASS_TEMP,
     MemoryGuard,
     ResourceExhausted,
     ResourceGovernor,
@@ -43,6 +44,9 @@ class TestClassify:
             ("metrics.prom", CLASS_TELEMETRY),
             ("flight/001-crash/spans.jsonl", CLASS_FLIGHT),
             ("flight/001-crash/MANIFEST.json", CLASS_FLIGHT),
+            ("journal.jsonl.a1b2c3d4.tmp", CLASS_TEMP),
+            ("ckpt-000000004.npz.k_9x0q2z.tmp", CLASS_TEMP),
+            ("trace.jsonl.0123abcd.tmp", CLASS_TEMP),
         ],
     )
     def test_classify(self, name, cls):
@@ -54,8 +58,9 @@ class TestClassify:
         bundle = tmp_path / "flight" / "001-c"
         bundle.mkdir(parents=True)
         (bundle / "spans.jsonl").write_bytes(b"x" * 30)
+        (tmp_path / "journal.jsonl.a1b2c3d4.tmp").write_bytes(b"x" * 7)
         u = ResourceGovernor(tmp_path).usage()
-        assert u == {"durable": 50, "flight": 30, "telemetry": 100}
+        assert u == {"durable": 50, "flight": 30, "telemetry": 100, "temp": 7}
 
 
 def _fill_stream(path, n=200):
