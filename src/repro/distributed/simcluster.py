@@ -196,9 +196,7 @@ class DistributedGspmv:
         if self.fault_plan is not None and len(self.fault_plan):
             return True
         injector = active_injector()
-        return injector is not None and any(
-            spec.site == "comm.exchange" for spec in injector.plan.specs
-        )
+        return injector is not None and "comm.exchange" in injector.sites
 
     def _record_exchange(self, sim: MpiSim, m: int) -> list:
         """Fold per-rank exchange logs into ``last_exchange`` + counters."""

@@ -39,7 +39,7 @@ site                        instrumented location
 ``engine.load``             ``kernels_cgen._load_checked`` — truncates the
                             cached ``.so`` in place so the checksum gate and
                             delete-and-rebuild recovery are exercised
-``engine.multiply``         ``KernelRegistry._multiply_watched`` — mutates a
+``engine.multiply``         ``KernelRegistry.multiply`` — mutates a
                             finished product (``corrupt``/``scale`` = wrong
                             numbers, ``nan`` = poisoned kernel) or demotes it
                             (``raise``); context carries ``engine``, ``b``,
@@ -129,7 +129,7 @@ _FAULT_SITES: Dict[str, Tuple[str, str]] = {
     ),
     "engine.multiply": (
         "engine",
-        "KernelRegistry._multiply_watched — mutates a finished product "
+        "KernelRegistry.multiply — mutates a finished product "
         "(corrupt/scale/nan) or demotes the engine (raise)",
     ),
     "engine.autotune_cache": (
@@ -290,6 +290,10 @@ class FaultInjector:
         elif isinstance(plan, (list, tuple)):
             plan = FaultPlan(specs=tuple(plan))
         self.plan = plan
+        #: Every site the plan names.  A plan is immutable, so a hot
+        #: site that is not in here can skip :meth:`fire` outright:
+        #: ``fire`` only acts on a matching spec.
+        self.sites = frozenset(spec.site for spec in plan.specs)
         self.rng = np.random.default_rng(plan.seed)
         self.fired: Dict[int, int] = {i: 0 for i in range(len(plan.specs))}
         self.events: List[FaultEvent] = []

@@ -222,25 +222,11 @@ class BCRSMatrix:
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Single-vector product ``y = A @ x`` (SPMV)."""
-        from repro.sparse.spmv import spmv
-
-        return spmv(self, x)
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        """Multivector product ``Y = A @ X`` (GSPMV)."""
-        from repro.sparse.gspmv import gspmv
-
-        return gspmv(self, X)
-
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        other = np.asarray(other)
-        if other.ndim == 1:
-            return self.matvec(other)
-        if other.ndim == 2:
-            return self.matmat(other)
-        raise ValueError("operand must be a vector or a multivector")
+        """``A @ x`` (SPMV) or ``A @ X`` (GSPMV) on the default registry."""
+        from repro.sparse.kernels import get_default_registry
+
+        return get_default_registry().multiply(self, other)
 
     def add_block_diagonal(self, diag_blocks: np.ndarray) -> "BCRSMatrix":
         """Return ``A + blockdiag(diag_blocks)`` as a new BCRS matrix.

@@ -14,12 +14,10 @@ contiguous, exactly as in the paper.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-import repro.telemetry as _telemetry
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.kernels import Engine, get_default_registry
 
@@ -35,24 +33,12 @@ def gspmv(
 
     A 1-D ``X`` is accepted and treated as ``m = 1`` (result is 1-D),
     so ``gspmv`` strictly generalizes :func:`~repro.sparse.spmv.spmv`.
-    ``engine=None`` uses the registry default (``--engine`` on the CLI);
-    ``"auto"`` and unavailable engines are resolved here so telemetry
-    always records the engine that actually ran.
+    ``engine=None`` uses the registry default (``--engine`` on the CLI).
+    One :meth:`~repro.sparse.kernels.KernelRegistry.multiply` call
+    resolves the engine, runs the product and records it under the
+    engine that produced it.
     """
-    X = np.asarray(X)
-    reg = get_default_registry()
-    m = X.shape[1] if X.ndim == 2 else 1
-    engine = reg.resolve_engine(A, m, engine)
-    hub = _telemetry.active_hub
-    if hub is None:
-        return reg.multiply(A, X, engine=engine)
-    t0 = time.perf_counter()
-    Y = reg.multiply(A, X, engine=engine)
-    nb, nnzb, b = A.structure
-    hub.record_gspmv(
-        "gspmv", time.perf_counter() - t0, nb, nnzb, b, m, engine,
-    )
-    return Y
+    return get_default_registry().multiply(A, X, engine=engine)
 
 
 def gspmv_into(
@@ -66,21 +52,11 @@ def gspmv_into(
     Iterative solvers call GSPMV every iteration; writing into a
     reusable buffer avoids an allocation per call.  ``out`` may alias
     ``X`` (the registry detects it and routes through a temporary).
+    Checks ``out``'s shape, then makes one
+    :meth:`~repro.sparse.kernels.KernelRegistry.multiply` call.
     """
     X = np.asarray(X)
     expected = (A.n_rows, X.shape[1]) if X.ndim == 2 else (A.n_rows,)
     if out.shape != expected:
         raise ValueError(f"out must have shape {expected}, got {out.shape}")
-    reg = get_default_registry()
-    m = X.shape[1] if X.ndim == 2 else 1
-    engine = reg.resolve_engine(A, m, engine)
-    hub = _telemetry.active_hub
-    if hub is None:
-        return reg.multiply(A, X, out=out, engine=engine)
-    t0 = time.perf_counter()
-    Y = reg.multiply(A, X, out=out, engine=engine)
-    nb, nnzb, b = A.structure
-    hub.record_gspmv(
-        "gspmv", time.perf_counter() - t0, nb, nnzb, b, m, engine,
-    )
-    return Y
+    return get_default_registry().multiply(A, X, out=out, engine=engine)

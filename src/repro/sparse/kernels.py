@@ -7,8 +7,13 @@ i.e. kernel work is specialized once per ``m`` and reused every call.
 *family* of interchangeable engines: it prepares, once per
 ``(block_size, m, engine)``, everything a product needs beyond the raw
 arrays — einsum contraction paths, cached ``scipy.sparse`` views,
-compiled kernels — and dispatches every multiply through one validated
-entry point.
+compiled kernels — and sends every product through one entry point,
+:meth:`KernelRegistry.multiply`.  ``A @ X``, ``spmv``, ``gspmv`` and
+``gspmv_into`` each call it once; it validates ``X``/``out``, resolves
+the engine, runs the watched dispatch below, fires the
+``engine.multiply`` fault site and records the product's telemetry,
+each exactly once per product.  :meth:`KernelRegistry._dispatch` is
+the raw single-engine call under it.
 
 Engines (see DESIGN.md §13):
 
@@ -40,7 +45,7 @@ Engines (see DESIGN.md §13):
     shape at first use, caches the choice to disk, and dispatches to
     the winner (:mod:`repro.sparse.autotune`).
 
-Every dispatch runs under the engine watchdog
+Every product runs under the engine watchdog
 (:mod:`repro.sparse.enginewatch`, DESIGN.md §14): engine-tier failures
 demote the product down the fallback ladder ``cgen → scipy → blocked``
 instead of raising, an opt-in shadow check verifies results against the
@@ -59,7 +64,8 @@ from typing import Dict, Literal, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro.resilience.faults import active_injector, fire_fault
+import repro.telemetry as _telemetry
+from repro.resilience.faults import active_injector
 from repro.sparse import kernels_cgen
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.enginewatch import (
@@ -227,7 +233,7 @@ class KernelRegistry:
                 f"engine {engine!r} is unavailable ({reason}); "
                 f"falling back to {rung!r}",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
         return rung
 
@@ -300,6 +306,22 @@ class KernelRegistry:
     ) -> np.ndarray:
         """Compute ``Y = A @ X`` where ``X`` is ``(n, m)`` row-major.
 
+        The one product path: ``A @ X``, :func:`~repro.sparse.spmv.spmv`,
+        :func:`~repro.sparse.gspmv.gspmv` and
+        :func:`~repro.sparse.gspmv.gspmv_into` all land here, and each
+        product is validated, resolved, watched and recorded once.
+
+        Under the watchdog a product ladders down on
+        :class:`EngineFailure` or an injected ``raise``, is
+        shadow-verified on cadence, and on a miscompare quarantines the
+        engine and is re-executed.  The loop terminates because every
+        demotion moves strictly down
+        :data:`~repro.sparse.enginewatch.FALLBACK_LADDER` and the
+        reference engine neither fails nor is verified against itself.
+        With a hub installed the product is timed and recorded (kind
+        ``"spmv"`` for a 1-D ``X``, else ``"gspmv"``) under the engine
+        that produced it, after any demotion.
+
         Parameters
         ----------
         A:
@@ -321,11 +343,14 @@ class KernelRegistry:
         squeeze = X.ndim == 1
         if squeeze:
             X = X[:, None]
+        elif X.ndim != 2:
+            raise ValueError("operand must be a vector or a multivector")
+        m = X.shape[1]
         if X.shape[0] != A.n_cols:
             raise ValueError(
                 f"X has {X.shape[0]} rows; matrix has {A.n_cols} columns"
             )
-        out2d = out
+        target = out
         if out is not None:
             if out.dtype != np.float64:
                 raise ValueError(
@@ -336,69 +361,50 @@ class KernelRegistry:
                 raise ValueError(
                     "out must be C-contiguous (pass np.ascontiguousarray)"
                 )
-            expected = (A.n_rows,) if out.ndim == 1 else (A.n_rows, X.shape[1])
+            expected = (A.n_rows,) if out.ndim == 1 else (A.n_rows, m)
             if out.shape != expected:
                 raise ValueError(
                     f"out must have shape {expected}, got {out.shape}"
                 )
             if out.ndim == 1:
-                out2d = out[:, None]
-        engine = self.resolve_engine(A, X.shape[1], engine)
+                target = out[:, None]
+        engine = self.resolve_engine(A, m, engine)
+        hub = _telemetry.active_hub
+        t0 = time.perf_counter() if hub is not None else 0.0
         # Aliasing guard: engines write `out` while still gathering from
         # X, so a caller passing out=X (in-place update) must be served
         # through a temporary.
-        alias = out2d is not None and np.may_share_memory(out2d, X)
-        target = None if alias else out2d
-        Y = self._multiply_watched(A, X, target, engine)
-        if alias:
-            np.copyto(out2d, Y)
-            Y = out2d
-        if squeeze:
-            return out if out is not None else Y[:, 0]
-        return Y
-
-    def _multiply_watched(
-        self,
-        A: BCRSMatrix,
-        X: np.ndarray,
-        target: Optional[np.ndarray],
-        engine: str,
-    ) -> np.ndarray:
-        """Dispatch under the watchdog: ladder on failure, shadow-verify
-        on cadence, quarantine and re-execute on miscompare.
-
-        The loop terminates because every demotion moves strictly down
-        :data:`~repro.sparse.enginewatch.FALLBACK_LADDER` and the
-        reference engine neither raises :class:`EngineFailure` nor gets
-        verified against itself.
-        """
+        alias = target is not None and np.may_share_memory(target, X)
+        injector = active_injector()
+        if injector is not None and "engine.multiply" not in injector.sites:
+            injector = None
         watch = self.watch
-        m = X.shape[1]
         shape: Optional[str] = None
         while True:
             try:
-                Y = self._dispatch(A, X, target, engine)
+                Y = self._dispatch(A, X, None if alias else target, engine)
             except EngineFailure as exc:
                 shape = shape or shape_class(A, m)
                 watch.record("engine_failure", engine, shape, str(exc))
                 engine = self._demote(engine, shape)
                 continue
-            spec = fire_fault(
-                "engine.multiply", engine=engine, b=A.block_size, m=m
-            )
-            if spec is not None:
-                if spec.kind == "raise":
-                    shape = shape or shape_class(A, m)
-                    watch.record(
-                        "engine_failure", engine, shape,
-                        "injected multiply failure",
-                    )
-                    engine = self._demote(engine, shape)
-                    continue
-                # Data-corruption kinds simulate a kernel returning
-                # wrong numbers: mutate the product in place so the
-                # shadow check (not the injection site) must catch it.
-                np.copyto(Y, spec.mutate(Y, active_injector().rng))
+            if injector is not None:
+                spec = injector.fire(
+                    "engine.multiply", engine=engine, b=A.block_size, m=m
+                )
+                if spec is not None:
+                    if spec.kind == "raise":
+                        shape = shape or shape_class(A, m)
+                        watch.record(
+                            "engine_failure", engine, shape,
+                            "injected multiply failure",
+                        )
+                        engine = self._demote(engine, shape)
+                        continue
+                    # Data-corruption kinds simulate a kernel returning
+                    # wrong numbers: mutate the product in place so the
+                    # shadow check (not the injection site) must catch it.
+                    np.copyto(Y, spec.mutate(Y, injector.rng))
             if watch.enabled:
                 shape = shape or shape_class(A, m)
                 if watch.should_verify(engine, shape):
@@ -412,7 +418,19 @@ class KernelRegistry:
                         )
                         engine = self._demote(engine, shape)
                         continue
-            return Y
+            break
+        if alias:
+            np.copyto(target, Y)
+            Y = target
+        if hub is not None:
+            nb, nnzb, b = A.structure
+            hub.record_gspmv(
+                "spmv" if squeeze else "gspmv",
+                time.perf_counter() - t0, nb, nnzb, b, m, engine,
+            )
+        if squeeze:
+            return out if out is not None else Y[:, 0]
+        return Y
 
     def _dispatch(
         self,
@@ -527,8 +545,7 @@ class KernelRegistry:
             tile_rows = max(64, int(TILE_BUDGET_BYTES / bytes_per_row))
         plan = self.blocked_plan(b, m)
         Xb = np.ascontiguousarray(X).reshape(A.nb_cols, b, m)
-        use_out_directly = out is not None and out.flags["C_CONTIGUOUS"]
-        Y = out if use_out_directly else np.empty((A.n_rows, m))
+        Y = out if out is not None else np.empty((A.n_rows, m))
         Yb = Y.reshape(A.nb_rows, b, m)
         rp = A.row_ptr
         for start in range(0, A.nb_rows, tile_rows):
@@ -542,24 +559,16 @@ class KernelRegistry:
             )
             local_ptr = (rp[start : end + 1] - lo).astype(np.int64)
             Yb[start:end] = _segment_sum(contrib, local_ptr, end - start)
-        if out is not None and not use_out_directly:
-            np.copyto(out, Y)
-            return out
         return Y
 
     def _multiply_cgen(
         self, A: BCRSMatrix, X: np.ndarray, out: Optional[np.ndarray]
     ) -> np.ndarray:
-        m = X.shape[1]
-        Xc = np.ascontiguousarray(X)
-        use_out_directly = out is not None and out.flags["C_CONTIGUOUS"]
-        Y = out if use_out_directly else np.empty((A.n_rows, m))
+        Y = out if out is not None else np.empty((A.n_rows, X.shape[1]))
         kernels_cgen.gspmv_cgen(
-            A.row_ptr, A.col_ind, A.blocks, Xc, Y, watch=self.watch
+            A.row_ptr, A.col_ind, A.blocks, np.ascontiguousarray(X), Y,
+            watch=self.watch,
         )
-        if out is not None and not use_out_directly:
-            np.copyto(out, Y)
-            return out
         return Y
 
 

@@ -8,12 +8,10 @@ published efficiency).
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-import repro.telemetry as _telemetry
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.kernels import Engine, get_default_registry
 
@@ -30,22 +28,15 @@ def spmv(
 
     Equivalent to ``gspmv`` with ``m = 1``; provided separately because
     the paper's algorithms and models distinguish ``T(1)`` from ``T(m)``.
-    ``engine=None`` uses the registry default; ``"auto"`` and
-    unavailable engines are resolved here so telemetry always records
-    the engine that actually ran.
+    ``engine=None`` uses the registry default.  Checks that ``x`` is a
+    vector, then makes one
+    :meth:`~repro.sparse.kernels.KernelRegistry.multiply` call, which
+    resolves the engine and records the product as ``spmv`` under the
+    engine that produced it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("spmv expects a 1-D vector; use gspmv for multivectors")
     if out is not None and out.shape != (A.n_rows,):
         raise ValueError(f"out must have shape ({A.n_rows},)")
-    reg = get_default_registry()
-    engine = reg.resolve_engine(A, 1, engine)
-    hub = _telemetry.active_hub
-    if hub is None:
-        return reg.multiply(A, x, out=out, engine=engine)
-    t0 = time.perf_counter()
-    y = reg.multiply(A, x, out=out, engine=engine)
-    nb, nnzb, b = A.structure
-    hub.record_gspmv("spmv", time.perf_counter() - t0, nb, nnzb, b, 1, engine)
-    return y
+    return get_default_registry().multiply(A, x, out=out, engine=engine)

@@ -317,9 +317,6 @@ class _NullHub:
     governor = None
     enabled = False
 
-    def record_gspmv(self, kind: str, duration: float, **kw: Any) -> None:
-        pass
-
     def emit_event(self, category: str, kind: str, **attrs: Any) -> None:
         pass
 

@@ -33,6 +33,8 @@ from repro.sparse.autotune import CACHE_FILENAME, AutoSelector
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.convert import bcrs_to_scipy
 from repro.sparse.gspmv import gspmv, gspmv_into
+from repro.resilience.faults import FaultSpec, armed
+from repro.sparse import kernels
 from repro.sparse.kernels import KernelRegistry, kernels_cgen
 from repro.telemetry import TelemetryHub
 from tests.conftest import random_bcrs
@@ -320,6 +322,150 @@ class TestTelemetryEngineLabel:
         ]
         assert events and all(
             e.attrs["backend"] in ENGINE_NAMES for e in events
+        )
+
+    def test_demoted_product_is_recorded_under_landing_rung(
+        self, small_bcrs, tmp_path, monkeypatch
+    ):
+        """A product demoted inside the call is counted under the rung
+        that produced it, not the engine that failed."""
+        from repro.telemetry.tracer import read_trace
+
+        monkeypatch.setattr(kernels, "_DEFAULT", KernelRegistry())
+        spec = FaultSpec(
+            site="engine.multiply", kind="raise",
+            at={"engine": "tiled"}, times=1,
+        )
+        hub = TelemetryHub(tmp_path)
+        _telemetry.install(hub)
+        try:
+            with armed(spec):
+                gspmv(
+                    small_bcrs, np.ones((small_bcrs.n_cols, 4)),
+                    engine="tiled",
+                )
+        finally:
+            hub.close()
+            _telemetry.uninstall()
+        events = [
+            e for e in read_trace(tmp_path / "trace.jsonl")
+            if e.name == "gspmv"
+        ]
+        assert [e.attrs["backend"] for e in events] == ["scipy"]
+        counters = json.loads(
+            (tmp_path / "metrics.json").read_text(encoding="utf-8")
+        )["counters"]
+        calls = [k for k in counters if k.startswith("gspmv.calls")]
+        assert calls == ["gspmv.calls{engine=scipy,m=4}"]
+        assert counters[calls[0]] == 1
+
+
+class TestOneProductPath:
+    """``A @ X`` validates, resolves, dispatches and records once."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_one_of_each_per_product(
+        self, small_bcrs, tmp_path, monkeypatch, m
+    ):
+        monkeypatch.setattr(kernels, "_DEFAULT", KernelRegistry())
+        calls = {"resolve": 0, "dispatch": 0, "record": []}
+        resolve = KernelRegistry.resolve_engine
+        dispatch = KernelRegistry._dispatch
+        record = TelemetryHub.record_gspmv
+
+        def spy_resolve(self, *a, **k):
+            calls["resolve"] += 1
+            return resolve(self, *a, **k)
+
+        def spy_dispatch(self, *a, **k):
+            calls["dispatch"] += 1
+            return dispatch(self, *a, **k)
+
+        def spy_record(self, kind, *a, **k):
+            calls["record"].append(kind)
+            return record(self, kind, *a, **k)
+
+        monkeypatch.setattr(KernelRegistry, "resolve_engine", spy_resolve)
+        monkeypatch.setattr(KernelRegistry, "_dispatch", spy_dispatch)
+        monkeypatch.setattr(TelemetryHub, "record_gspmv", spy_record)
+        X = np.ones(small_bcrs.n_cols) if m == 1 else np.ones(
+            (small_bcrs.n_cols, m)
+        )
+        hub = TelemetryHub(tmp_path)
+        _telemetry.install(hub)
+        try:
+            for products in (1, 2, 3):
+                Y = small_bcrs @ X
+                assert calls["resolve"] == products
+                assert calls["dispatch"] == products
+                assert len(calls["record"]) == products
+        finally:
+            hub.close()
+            _telemetry.uninstall()
+        assert set(calls["record"]) == {"spmv" if m == 1 else "gspmv"}
+        np.testing.assert_allclose(
+            Y, bcrs_to_scipy(small_bcrs) @ X, rtol=1e-12
+        )
+
+    def test_matmul_reaches_the_engine_in_three_frames(
+        self, small_bcrs, monkeypatch
+    ):
+        import os
+        import traceback
+
+        import repro
+
+        reg = KernelRegistry(default_engine="blocked")
+        monkeypatch.setattr(kernels, "_DEFAULT", reg)
+        root = os.path.dirname(repro.__file__)
+        seen = []
+        blocked = KernelRegistry._multiply_blocked
+
+        def engine(self, *a, **k):
+            seen.append([
+                f.name for f in traceback.extract_stack()[:-1]
+                if f.filename.startswith(root)
+            ])
+            return blocked(self, *a, **k)
+
+        monkeypatch.setattr(KernelRegistry, "_multiply_blocked", engine)
+        small_bcrs @ np.ones((small_bcrs.n_cols, 4))
+        assert seen == [["__matmul__", "multiply", "_dispatch"]]
+
+    def test_unnamed_site_is_never_fired(self, small_bcrs, monkeypatch):
+        """An armed plan that names no ``engine.multiply`` spec costs
+        the product no ``fire`` call; one that does still demotes."""
+        from repro.resilience.faults import FaultInjector
+        from repro.service.manager import ServiceInjector
+
+        monkeypatch.setattr(kernels, "_DEFAULT", KernelRegistry())
+        fired = []
+        fire = FaultInjector.fire
+
+        def spy_fire(self, site, **context):
+            fired.append(site)
+            return fire(self, site, **context)
+
+        monkeypatch.setattr(FaultInjector, "fire", spy_fire)
+        X = np.ones((small_bcrs.n_cols, 4))
+        crash = ServiceInjector(FaultSpec(site="service.worker_crash"))
+        assert crash.sites == {"service.worker_crash"}
+        with armed(crash):
+            small_bcrs @ X
+            small_bcrs @ X[:, 0]
+        assert "engine.multiply" not in fired
+
+        spec = FaultSpec(
+            site="engine.multiply", kind="raise",
+            at={"engine": "scipy"}, times=1,
+        )
+        with armed(ServiceInjector(spec)) as injector:
+            Y = small_bcrs @ X
+        assert fired.count("engine.multiply") == 2  # scipy, then blocked
+        assert len(injector.events_at("engine.multiply")) == 1
+        assert kernels._DEFAULT.watch.counts["engine_failure"] == 1
+        np.testing.assert_allclose(
+            Y, bcrs_to_scipy(small_bcrs) @ X, rtol=1e-12
         )
 
 
