@@ -248,12 +248,9 @@ class MrhsStokesianDynamics:
             preconditioner=precond,
         )
         diag = block.diagnostics
-        if diag is not None:
-            logger.info("chunk block solve: %s", diag.summary())
+        logger.info("chunk block solve: %s", diag.summary())
         fallback: List[int] = []
-        needs_repair = not block.converged or (
-            diag is not None and (diag.breakdown or diag.stagnated)
-        )
+        needs_repair = not block.converged or diag.breakdown or diag.stagnated
         if needs_repair:
             b_norms = np.linalg.norm(rhs, axis=0)
             stop = tol * np.where(b_norms > 0, b_norms, 1.0)
@@ -273,8 +270,7 @@ class MrhsStokesianDynamics:
                 logger.warning(
                     "block solve unreliable (%s); re-solved columns %s "
                     "with single-RHS CG",
-                    "breakdown" if diag is not None and diag.breakdown
-                    else "not converged",
+                    "breakdown" if diag.breakdown else "not converged",
                     fallback,
                 )
         return block, fallback

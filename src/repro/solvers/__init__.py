@@ -23,6 +23,9 @@ large-problem path is iterative:
   history, restarts, breakdown events, stagnation state) built by a
   :class:`ConvergenceMonitor`, and the iterative solvers verify
   convergence against the *true* residual with replacement/restart.
+  That record is the only one a solve writes: a result's
+  ``iterations``, ``converged``, ``residual_norms`` and
+  ``final_residual(s)`` are views of its ``diagnostics``.
 """
 
 from repro.solvers.cg import CGResult, conjugate_gradient

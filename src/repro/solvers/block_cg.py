@@ -46,14 +46,14 @@ residual.  The full event record is returned in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 import repro.telemetry as _telemetry
 from repro.solvers.cg import DEFAULT_TOL
-from repro.solvers.diagnostics import ConvergenceMonitor, SolveDiagnostics
+from repro.solvers.diagnostics import ConvergenceMonitor, ResultView, SolveDiagnostics
 from repro.telemetry.metrics import RESIDUAL_BUCKETS
 
 __all__ = ["BlockCGResult", "block_conjugate_gradient"]
@@ -64,22 +64,23 @@ process is restarted from the replaced residual."""
 
 
 @dataclass(frozen=True)
-class BlockCGResult:
-    """Outcome of one block-CG solve."""
+class BlockCGResult(ResultView):
+    """Outcome of one block-CG solve; convergence fields view ``diagnostics``."""
 
     X: np.ndarray
-    iterations: int
-    converged: bool
-    residual_norms: List[np.ndarray] = field(default_factory=list)
-    """Per-iteration arrays of the m column residual norms."""
-    gspmv_calls: int = 0
+    diagnostics: SolveDiagnostics
+    """Convergence record: restarts, breakdowns, stagnation, true
+    residual norms."""
+    gspmv_calls: int
     """Number of Krylov A-applications with the full block (the GSPMV
     count: one for the initial residual plus one per iteration).
     True-residual recomputations are counted separately in
     ``diagnostics.matvecs``."""
-    diagnostics: Optional[SolveDiagnostics] = None
-    """Convergence record: restarts, breakdowns, stagnation, true
-    residual norms."""
+
+    @property
+    def residual_norms(self) -> List[np.ndarray]:
+        """Per-iteration arrays of the m column residual norms."""
+        return list(self.diagnostics.residual_history)
 
     @property
     def final_residuals(self) -> np.ndarray:
@@ -224,13 +225,10 @@ def _block_conjugate_gradient(
     gspmv_calls = 1
     monitor.count_matvec()
     latest_rn = np.linalg.norm(R_full, axis=0)
-    res_hist = [latest_rn.copy()]
     monitor.observe(latest_rn)
     if np.all(latest_rn <= stop):
         return BlockCGResult(
-            X=X, iterations=0, converged=True,
-            residual_norms=res_hist, gspmv_calls=gspmv_calls,
-            diagnostics=monitor.finalize(
+            X=X, gspmv_calls=gspmv_calls, diagnostics=monitor.finalize(
                 converged=True, true_residual_norms=latest_rn
             ),
         )
@@ -241,7 +239,6 @@ def _block_conjugate_gradient(
     Z = apply_m(R)
     P = Z.copy()
     RZ = R.T @ Z
-    it = 0
     converged = False
     true_rn = latest_rn.copy()
     since_replace = 0
@@ -258,7 +255,7 @@ def _block_conjugate_gradient(
         Zr = apply_m(Rt)
         return Zr, Zr.copy(), Rt.T @ Zr
 
-    while it < max_iter:
+    while monitor.iteration < max_iter:
         AP = A @ P
         gspmv_calls += 1
         monitor.count_matvec()
@@ -269,11 +266,9 @@ def _block_conjugate_gradient(
             )
         X[:, act] += P @ alpha
         R -= AP @ alpha
-        it += 1
         since_replace += 1
         rn_act = np.linalg.norm(R, axis=0)
         latest_rn[act] = rn_act
-        res_hist.append(latest_rn.copy())
         monitor.observe(latest_rn, active=act)
 
         apparent = rn_act <= stop[act]
@@ -289,7 +284,6 @@ def _block_conjugate_gradient(
             )
             since_replace = 0
             latest_rn[act] = rn_true
-            res_hist[-1] = latest_rn.copy()
             monitor.amend_last(latest_rn)
             true_rn[act] = rn_true
             conv_true = rn_true <= stop[act]
@@ -341,22 +335,16 @@ def _block_conjugate_gradient(
         RZ = RZ_new
         P = Z + P @ beta
 
-    if converged or it >= max_iter:
+    if converged or monitor.iteration >= max_iter:
         # Report the final true residual even when the cap was hit.
         if not converged:
             Rt = true_residual()
             true_rn[act] = np.linalg.norm(Rt, axis=0)
             latest_rn[act] = true_rn[act]
-            res_hist[-1] = latest_rn.copy()
             monitor.amend_last(latest_rn)
             converged = bool(np.all(true_rn <= stop))
     return BlockCGResult(
-        X=X,
-        iterations=it,
-        converged=converged,
-        residual_norms=res_hist,
-        gspmv_calls=gspmv_calls,
-        diagnostics=monitor.finalize(
+        X=X, gspmv_calls=gspmv_calls, diagnostics=monitor.finalize(
             converged=converged, true_residual_norms=true_rn
         ),
     )

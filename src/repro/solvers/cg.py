@@ -18,13 +18,13 @@ non-converged flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
 
 import repro.telemetry as _telemetry
-from repro.solvers.diagnostics import ConvergenceMonitor, SolveDiagnostics
+from repro.solvers.diagnostics import ConvergenceMonitor, ResultView, SolveDiagnostics
 from repro.telemetry.metrics import RESIDUAL_BUCKETS
 
 __all__ = ["CGResult", "conjugate_gradient"]
@@ -33,16 +33,17 @@ DEFAULT_TOL = 1e-6  # the paper's relative residual threshold
 
 
 @dataclass(frozen=True)
-class CGResult:
-    """Outcome of one CG solve."""
+class CGResult(ResultView):
+    """Outcome of one CG solve; convergence fields view ``diagnostics``."""
 
     x: np.ndarray
-    iterations: int
-    converged: bool
-    residual_norms: List[float] = field(default_factory=list)
-    """``||r||_2`` after each iteration, starting with the initial residual."""
-    diagnostics: Optional[SolveDiagnostics] = None
+    diagnostics: SolveDiagnostics
     """Convergence record: restarts, breakdowns, true residual norm."""
+
+    @property
+    def residual_norms(self) -> List[float]:
+        """``||r||_2`` after each iteration, starting with the initial residual."""
+        return [float(row[0]) for row in self.diagnostics.residual_history]
 
     @property
     def final_residual(self) -> float:
@@ -96,10 +97,10 @@ def conjugate_gradient(
     mx = hub.metrics
     mx.counter("cg.solves").inc()
     mx.counter("cg.iterations").inc(result.iterations)
-    if np.isfinite(result.final_residual):
-        mx.histogram(
-            "cg.true_residual", buckets=RESIDUAL_BUCKETS
-        ).observe(result.final_residual)
+    # The verified norm when the solve checked it, else the recurred one.
+    final = float(result.diagnostics.final_residuals[0])
+    if np.isfinite(final):
+        mx.histogram("cg.true_residual", buckets=RESIDUAL_BUCKETS).observe(final)
     return result
 
 
@@ -130,8 +131,7 @@ def _conjugate_gradient(
         monitor = ConvergenceMonitor("cg", [0.0])
         monitor.observe([0.0])
         return CGResult(
-            x=np.zeros(n), iterations=0, converged=True, residual_norms=[0.0],
-            diagnostics=monitor.finalize(
+            x=np.zeros(n), diagnostics=monitor.finalize(
                 converged=True, true_residual_norms=np.array([0.0])
             ),
         )
@@ -141,40 +141,37 @@ def _conjugate_gradient(
     apply_m = preconditioner if preconditioner is not None else (lambda v: v)
     r = b - (A @ x)
     monitor.count_matvec()
-    res_norms = [float(np.linalg.norm(r))]
-    monitor.observe([res_norms[0]])
-    if res_norms[0] <= stop:
+    rn = float(np.linalg.norm(r))
+    monitor.observe([rn])
+    if rn <= stop:
         return CGResult(
-            x=x, iterations=0, converged=True, residual_norms=res_norms,
-            diagnostics=monitor.finalize(
-                converged=True, true_residual_norms=np.array([res_norms[0]])
+            x=x, diagnostics=monitor.finalize(
+                converged=True, true_residual_norms=np.array([rn])
             ),
         )
     z = apply_m(r)
     p = z.copy()
     rz = float(r @ z)
-    it = 0
     converged = False
     final_true: Optional[float] = None
-    while it < max_iter:
+    while monitor.iteration < max_iter:
         Ap = A @ p
         monitor.count_matvec()
         pAp = float(p @ Ap)
         if pAp <= 0:
             # Not SPD along p (breakdown): report non-convergence honestly.
             monitor.record_breakdown(
-                "indefinite_operator", f"p^T A p = {pAp:.3e} at iteration {it}"
+                "indefinite_operator",
+                f"p^T A p = {pAp:.3e} at iteration {monitor.iteration}",
             )
             break
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        it += 1
         rn = float(np.linalg.norm(r))
-        res_norms.append(rn)
         monitor.observe([rn])
         if callback is not None:
-            callback(it, x)
+            callback(monitor.iteration, x)
         if rn <= stop:
             # Verify against the true residual before declaring victory;
             # the recurrence can drift below tolerance while the actual
@@ -188,7 +185,6 @@ def _conjugate_gradient(
                 break
             # Residual replacement + restart from the honest residual.
             r = r_true
-            res_norms[-1] = rn_true
             monitor.amend_last([rn_true])
             monitor.record_restart("residual_drift")
             z = apply_m(r)
@@ -201,8 +197,7 @@ def _conjugate_gradient(
         rz = rz_new
         p = z + beta * p
     return CGResult(
-        x=x, iterations=it, converged=converged, residual_norms=res_norms,
-        diagnostics=monitor.finalize(
+        x=x, diagnostics=monitor.finalize(
             converged=converged,
             true_residual_norms=(
                 None if final_true is None else np.array([final_true])

@@ -6,22 +6,22 @@ residual-recurrence drift are the reasons block methods "have been
 avoided" (Section III).  This module is the robustness layer those
 solvers share:
 
-* :class:`SolveDiagnostics` — the uniform result record every solver
-  returns alongside its solution: per-column residual history,
-  restart and breakdown events, stagnation state, and the true
-  (recomputed, not recurred) final residual norms;
+* :class:`SolveDiagnostics` — the one record of a solve: per-column
+  residual history, iteration count, convergence, restart and
+  breakdown events, stagnation state, and the true (recomputed, not
+  recurred) final residual norms;
 * :class:`ConvergenceMonitor` — the mutable companion a solver drives
-  while iterating: it accumulates the history, watches a stagnation
-  window, counts operator applications, and finalizes into a
-  :class:`SolveDiagnostics`;
+  while iterating and the only writer of its residuals: it accumulates
+  the history, watches a stagnation window, counts operator
+  applications, and finalizes into a :class:`SolveDiagnostics`;
 * :class:`BreakdownEvent` / :class:`RestartEvent` — timestamped
   records of the small-system rank deficiencies and Krylov restarts
   that the block solvers guard against.
 
-Solvers keep their existing result types (``CGResult``,
-``BlockCGResult``, ...) for compatibility; each now carries a
-``diagnostics`` field holding one of these records, and the MRHS
-driver logs them per time step.
+Each solver result (``CGResult``, ``BlockCGResult``,
+``RefinementResult``) holds its solution and one of these records; its
+``iterations``, ``converged``, ``residual_norms`` and
+``final_residual(s)`` are read-only views of it (:class:`ResultView`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "RestartEvent",
     "SolveDiagnostics",
     "ConvergenceMonitor",
+    "ResultView",
 ]
 
 
@@ -137,6 +138,10 @@ class SolveDiagnostics:
 class ConvergenceMonitor:
     """Accumulates per-iteration convergence state for one solve.
 
+    Its :attr:`history` is the solve's only residual record; result
+    fields (``iterations``, ``residual_norms``, ...) are views of the
+    :class:`SolveDiagnostics` it finalizes into.
+
     Drive it from a solver loop::
 
         mon = ConvergenceMonitor("block_cg", stop_thresholds=stop)
@@ -171,6 +176,8 @@ class ConvergenceMonitor:
         self.solver = solver
         self.stop = np.atleast_1d(np.asarray(stop_thresholds, dtype=np.float64))
         self.n_columns = self.stop.shape[0]
+        # Stagnation-metric divisor: never zero, so no division guard.
+        self._scale = np.where(self.stop > 0, self.stop, 1.0)
         self.stagnation_window = int(stagnation_window)
         self.stagnation_improvement = float(stagnation_improvement)
         self.history: List[np.ndarray] = []
@@ -187,6 +194,14 @@ class ConvergenceMonitor:
         """Iterations observed so far (row 0 is the initial residual)."""
         return max(0, len(self.history) - 1)
 
+    def _row(self, norms: Sequence[float]) -> np.ndarray:
+        row = np.array(norms, dtype=np.float64, ndmin=1)
+        if row.shape[0] != self.n_columns:
+            raise ValueError(
+                f"expected {self.n_columns} residual norms, got {row.shape[0]}"
+            )
+        return row
+
     def observe(
         self, norms: Sequence[float], active: Optional[np.ndarray] = None
     ) -> None:
@@ -196,18 +211,18 @@ class ConvergenceMonitor:
         stagnation metric is computed over those only (frozen columns
         are converged by construction and would dilute it).
         """
-        row = np.atleast_1d(np.asarray(norms, dtype=np.float64)).copy()
-        if row.shape[0] != self.n_columns:
-            raise ValueError(
-                f"expected {self.n_columns} residual norms, got {row.shape[0]}"
-            )
+        row = self._row(norms)
         self.history.append(row)
-        idx = np.arange(self.n_columns) if active is None else np.asarray(active)
-        if idx.size == 0:
-            return
-        with np.errstate(divide="ignore"):
-            metric = float(np.max(row[idx] / np.where(self.stop[idx] > 0,
-                                                      self.stop[idx], 1.0)))
+        if active is None:
+            scaled = row / self._scale
+        else:
+            idx = np.asarray(active)
+            if idx.size == 0:
+                return
+            scaled = row[idx] / self._scale[idx]
+        if scaled.size == 0:
+            return  # a zero-column monitor has no metric
+        metric = float(scaled.max())
         if self._best_metric is None or metric < (
             self.stagnation_improvement * self._best_metric
         ):
@@ -221,12 +236,7 @@ class ConvergenceMonitor:
         replacement recomputes the true norms for the same iteration)."""
         if not self.history:
             raise RuntimeError("no observation to amend")
-        row = np.atleast_1d(np.asarray(norms, dtype=np.float64)).copy()
-        if row.shape[0] != self.n_columns:
-            raise ValueError(
-                f"expected {self.n_columns} residual norms, got {row.shape[0]}"
-            )
-        self.history[-1] = row
+        self.history[-1] = self._row(norms)
 
     @property
     def stalled(self) -> bool:
@@ -277,3 +287,18 @@ class ConvergenceMonitor:
                 else np.atleast_1d(np.asarray(true_residual_norms, dtype=np.float64))
             ),
         )
+
+
+class ResultView:
+    """``iterations`` and ``converged`` of a solver result, read from
+    its ``diagnostics`` record (mixed into the frozen result types)."""
+
+    diagnostics: SolveDiagnostics
+
+    @property
+    def iterations(self) -> int:
+        return self.diagnostics.iterations
+
+    @property
+    def converged(self) -> bool:
+        return self.diagnostics.converged

@@ -104,22 +104,19 @@ class RecyclingCG:
         self._refresh_basis(harvested)
         # Relabel the diagnostics as ours, appending the projection
         # breakdown (if any) so callers see the full event record.
-        diag = result.diagnostics
-        if diag is not None:
-            events = diag.breakdown_events
-            if self._projection_breakdown:
-                events = (
-                    BreakdownEvent(
-                        iteration=0,
-                        kind="projection_singular",
-                        detail="recycled basis W^T A W rank-deficient; basis dropped",
-                    ),
-                ) + events
-            diag = dataclasses.replace(
-                diag, solver="recycling_cg", breakdown_events=events
-            )
-            result = dataclasses.replace(result, diagnostics=diag)
-        return result
+        events = result.diagnostics.breakdown_events
+        if self._projection_breakdown:
+            events = (
+                BreakdownEvent(
+                    iteration=0,
+                    kind="projection_singular",
+                    detail="recycled basis W^T A W rank-deficient; basis dropped",
+                ),
+            ) + events
+        diag = dataclasses.replace(
+            result.diagnostics, solver="recycling_cg", breakdown_events=events
+        )
+        return dataclasses.replace(result, diagnostics=diag)
 
     # ------------------------------------------------------------------
     def _refresh_basis(self, iterates: List[np.ndarray]) -> None:

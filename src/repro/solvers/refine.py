@@ -25,19 +25,23 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.solvers.cg import DEFAULT_TOL
-from repro.solvers.diagnostics import ConvergenceMonitor, SolveDiagnostics
+from repro.solvers.diagnostics import ConvergenceMonitor, ResultView, SolveDiagnostics
 
 __all__ = ["RefinementResult", "iterative_refinement"]
 
 
 @dataclass(frozen=True)
-class RefinementResult:
+class RefinementResult(ResultView):
+    """Outcome of one refinement; convergence fields view ``diagnostics``."""
+
     x: np.ndarray
-    iterations: int
-    converged: bool
-    residual_norms: List[float]
-    diagnostics: Optional[SolveDiagnostics] = None
+    diagnostics: SolveDiagnostics
     """Convergence record: divergence/stagnation events, residual history."""
+
+    @property
+    def residual_norms(self) -> List[float]:
+        """True ``||b - A x||_2`` after each iteration, starting with x0's."""
+        return [float(row[0]) for row in self.diagnostics.residual_history]
 
 
 def iterative_refinement(
@@ -76,26 +80,24 @@ def iterative_refinement(
     monitor = ConvergenceMonitor("iterative_refinement", [stop])
     r = b - (A @ x)
     monitor.count_matvec()
-    norms = [float(np.linalg.norm(r))]
-    monitor.observe(norms)
-    it = 0
-    converged = norms[0] <= stop
-    while not converged and it < max_iter:
+    rn = float(np.linalg.norm(r))
+    monitor.observe([rn])
+    converged = rn <= stop
+    while not converged and monitor.iteration < max_iter:
         x += apply_inv(r)
         r = b - (A @ x)
         monitor.count_matvec()
-        it += 1
-        norms.append(float(np.linalg.norm(r)))
-        monitor.observe([norms[-1]])
-        converged = norms[-1] <= stop
+        rn = float(np.linalg.norm(r))
+        monitor.observe([rn])
+        converged = rn <= stop
         if converged:
             break
         # Divergence guard: if refinement is not contracting, stop
         # honestly — the frozen factor is too far from A.
-        if it >= 2 and norms[-1] > 2.0 * norms[-3]:
+        if monitor.iteration >= 2 and rn > 2.0 * monitor.history[-3][0]:
             monitor.record_breakdown(
                 "divergence",
-                f"residual grew {norms[-1]:.3e} > 2 x {norms[-3]:.3e}; "
+                f"residual grew {rn:.3e} > 2 x {monitor.history[-3][0]:.3e}; "
                 "approximate inverse is not a contraction",
             )
             break
@@ -107,9 +109,7 @@ def iterative_refinement(
             monitor.mark_stagnated()
             break
     return RefinementResult(
-        x=x, iterations=it, converged=converged, residual_norms=norms,
-        diagnostics=monitor.finalize(
-            converged=converged,
-            true_residual_norms=np.array([norms[-1]]),
+        x=x, diagnostics=monitor.finalize(
+            converged=converged, true_residual_norms=np.array([rn])
         ),
     )

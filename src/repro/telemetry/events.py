@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -119,15 +118,14 @@ def _last_seq(path: Path) -> int:
 
 
 class EventBus:
-    """Appends :class:`BusEvent` lines; keeps a bounded recent ring.
+    """Appends :class:`BusEvent` lines and hands each event to its
+    listeners (the hub's :class:`FlightRecorder` keeps the recent ones).
 
     Parameters
     ----------
     path:
-        Target ``events.jsonl``; ``None`` keeps events in memory only
-        (the ring still feeds the flight recorder).
-    ring:
-        Recent events retained in memory for ``FlightRecorder`` dumps.
+        Target ``events.jsonl``; ``None`` writes nothing (listeners
+        still see every event).
     wall:
         Injectable wall clock (tests pin it).
     budget:
@@ -142,13 +140,11 @@ class EventBus:
         self,
         path: Optional[Union[str, Path]] = None,
         *,
-        ring: int = 2048,
         wall: Callable[[], float] = time.time,
         budget: Optional[Any] = None,
         governor: Optional[Any] = None,
     ) -> None:
         self.path = Path(path) if path is not None else None
-        self.ring: "deque[BusEvent]" = deque(maxlen=int(ring))
         self.listeners: List[Callable[[BusEvent], None]] = []
         self.events_emitted = 0
         self._wall = wall
@@ -190,7 +186,6 @@ class EventBus:
             correlation=corr,
             attrs=attrs,
         )
-        self.ring.append(event)
         self.events_emitted += 1
         for listener in self.listeners:
             listener(event)
@@ -208,7 +203,6 @@ class _NullBus:
 
     __slots__ = ()
     path = None
-    ring: "deque[BusEvent]" = deque(maxlen=1)
     events_emitted = 0
 
     def emit(self, category: str, kind: str, **attrs: Any) -> None:

@@ -291,7 +291,7 @@ class TestSLOTracker:
         assert len(warns) == 1
         assert monitor.report.worst() is Severity.WARN
         # Burn events record *every* burning observation, though.
-        burns = [e for e in hub.events.ring if e.kind == "burn"]
+        burns = [e for e in hub.recorder.events if e.kind == "burn"]
         assert len(burns) >= 2
         assert burns[-1].correlation["tenant"] == "acme"
         assert burns[-1].attrs["burn"] > 1.0
@@ -299,7 +299,7 @@ class TestSLOTracker:
         for _ in range(3):
             tracker.observe("acme", latency_ticks=1)
         assert not tracker.violating("acme")
-        assert any(e.kind == "recovered" for e in hub.events.ring)
+        assert any(e.kind == "recovered" for e in hub.recorder.events)
 
     def test_failed_job_is_a_miss_regardless_of_latency(self):
         tracker, hub, _ = self._tracker()
