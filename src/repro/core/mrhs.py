@@ -70,15 +70,10 @@ class MrhsParameters:
     """Number of right-hand sides per chunk (the paper's experiments use
     16; the best value sits near the GSPMV bandwidth/compute crossover,
     see Table VIII)."""
-    block_tol: Optional[float] = None
-    """Relative tolerance of the auxiliary block solve (defaults to the
-    in-step solver tolerance)."""
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.block_tol is not None and not 0 < self.block_tol < 1:
-            raise ValueError("block_tol must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,7 @@ class MrhsStokesianDynamics:
                 f"injected block-solve breakdown in chunk {index} "
                 f"(m={rhs.shape[1]})"
             )
-        tol = self.mrhs.block_tol or self.params.tol
+        tol = self.params.tol
         precond = self.sd.make_preconditioner(R0)
         block = block_conjugate_gradient(
             R0,
@@ -503,7 +498,6 @@ class MrhsStokesianDynamics:
             "kind": "mrhs",
             "sd": self.sd.get_state(),
             "m": self.mrhs.m,
-            "block_tol": self.mrhs.block_tol,
             "chunks": _chunks_to_state(self.chunks),
             "pending": None,
         }
@@ -539,11 +533,8 @@ class MrhsStokesianDynamics:
         self._chunk_span.end(abandoned=True)
         self._chunk_span = NULL_SPAN
         self.sd.set_state(state["sd"])
-        block_tol = state.get("block_tol")
-        self.mrhs = MrhsParameters(
-            m=int(state["m"]),
-            block_tol=None if block_tol is None else float(block_tol),
-        )
+        # Older checkpoints also carry an always-None ``block_tol``.
+        self.mrhs = MrhsParameters(m=int(state["m"]))
         self.chunks = _chunks_from_state(state["chunks"])
         pend = state.get("pending")
         if pend is None:

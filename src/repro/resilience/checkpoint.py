@@ -35,11 +35,13 @@ import hashlib
 import json
 import logging
 import queue
+import re
 import threading
 import time
 import zipfile
+from contextlib import suppress
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -164,23 +166,34 @@ def _digest(arrays: Mapping[str, np.ndarray]) -> str:
 # ----------------------------------------------------------------------
 # manager
 # ----------------------------------------------------------------------
+Wave = Dict[Optional[int], Path]
+"""The files of one step, ``{rank: path}``; a global checkpoint's rank is
+``None``."""
+
+
 class CheckpointManager:
     """Writes, retains, verifies, and loads run checkpoints.
+
+    Global checkpoints (``<prefix>-<step:09d>.npz``) and per-rank shards
+    (``<prefix>-shard<rank:04d>-<step:09d>.npz``) share one write path
+    (atomic write, digest read-back, degraded ladder), one index over
+    the primary and spill directories, one keep-newest-steps retention
+    per kind, and one newest-first fallback walk on load.
 
     Parameters
     ----------
     directory:
         Checkpoint directory (created if missing).
     keep:
-        Retention: only the ``keep`` most recent checkpoints are kept
-        on disk (older ones are pruned after each successful save).
+        Retention: only the ``keep`` most recent steps of each kind are
+        kept on disk (older ones are pruned after each successful save).
     prefix:
-        Filename prefix; files are ``<prefix>-<step:09d>.npz``.
+        Filename prefix.
     spill_dir:
         Optional secondary directory (ideally a different filesystem).
         When the primary write fails with :class:`OSError` even after
-        the governor's emergency release, the checkpoint fails over
-        here; retention and resume span both directories.
+        the governor's emergency release, the checkpoint or shard fails
+        over here; retention and resume span both directories.
     governor:
         Optional :class:`~repro.resources.ResourceGovernor` consulted
         on a failed write: junior-class artifacts (sealed telemetry
@@ -205,6 +218,9 @@ class CheckpointManager:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = int(keep)
         self.prefix = prefix
+        self._name_re = re.compile(
+            re.escape(prefix) + r"-(?:shard(\d+)-)?(\d+)\.npz"
+        )
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.governor = governor
         # A save killed mid-publish leaves its temp file behind.
@@ -217,60 +233,65 @@ class CheckpointManager:
         self._worker_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
+    # file names and the index over both directories
+    # ------------------------------------------------------------------
+    def _name(self, step: int, rank: Optional[int]) -> str:
+        shard = "" if rank is None else f"shard{rank:04d}-"
+        return f"{self.prefix}-{shard}{step:09d}.npz"
+
     def path_for(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}-{step:09d}.npz"
+        return self.directory / self._name(step, None)
+
+    def shard_path_for(self, step: int, rank: int) -> Path:
+        return self.directory / self._name(step, rank)
+
+    def _waves(self, shards: bool) -> Dict[int, Wave]:
+        """``{step: {rank: path}}`` of one kind on disk, oldest first.
+
+        Spilled files (written to ``spill_dir`` after a failed primary
+        write) merge in, so retention and resume see one timeline; a
+        file present in both directories resolves to the primary copy.
+        """
+        waves: Dict[int, Wave] = {}
+        for d in (self.spill_dir, self.directory):
+            if d is None or not d.is_dir():
+                continue
+            for p in d.glob(glob.escape(self.prefix) + "-*.npz"):
+                m = self._name_re.fullmatch(p.name)
+                if m is None or (m[1] is not None) != shards:
+                    continue
+                rank = None if m[1] is None else int(m[1])
+                waves.setdefault(int(m[2]), {})[rank] = p
+        return dict(sorted(waves.items()))
 
     def checkpoints(self) -> List[Path]:
-        """Existing *global* checkpoint files, oldest first.
+        """Existing *global* checkpoint files, oldest first (shards are
+        listed by :meth:`shard_steps` and :meth:`shards_at`)."""
+        return [wave[None] for wave in self._waves(False).values()]
 
-        Only ``<prefix>-<step>.npz`` files count — per-rank shard files
-        (``<prefix>-shard<rank>-<step>.npz``) live in the same
-        directory but have their own listing (:meth:`shards_at`) and
-        retention (:meth:`_prune_shards`).
-
-        Spilled checkpoints (written to ``spill_dir`` after a primary
-        ENOSPC) merge into the listing so retention and resume see one
-        timeline; a step present in both directories resolves to the
-        primary copy."""
-        by_name: Dict[str, Path] = {}
-        if self.spill_dir is not None and self.spill_dir.is_dir():
-            for p in self.spill_dir.glob(f"{self.prefix}-*.npz"):
-                if p.stem[len(self.prefix) + 1:].isdigit():
-                    by_name[p.name] = p
-        for p in self.directory.glob(f"{self.prefix}-*.npz"):
-            if p.stem[len(self.prefix) + 1:].isdigit():
-                by_name[p.name] = p
-        return [by_name[name] for name in sorted(by_name)]
+    def steps(self) -> List[int]:
+        """Steps that have a global checkpoint on disk, oldest first."""
+        return list(self._waves(False))
 
     def latest(self) -> Optional[Path]:
         found = self.checkpoints()
         return found[-1] if found else None
 
+    def shard_steps(self) -> List[int]:
+        """Steps that have at least one shard on disk, oldest first."""
+        return list(self._waves(True))
+
+    def shards_at(self, step: int) -> Dict[int, Path]:
+        """``{rank: path}`` of the shards stored for ``step``."""
+        return self._waves(True).get(int(step), {})
+
+    # ------------------------------------------------------------------
+    # write
     # ------------------------------------------------------------------
     def save(self, state: Mapping[str, Any], *, step: int) -> Path:
         """Atomically write ``state`` as the checkpoint for ``step``."""
-        if step < 0:
-            raise ValueError("step must be non-negative")
-        payload = {
-            "meta": {
-                "format_version": FORMAT_VERSION,
-                "step": int(step),
-                "kind": str(state.get("kind", "unknown")),
-            },
-            "state": dict(state),
-        }
         t0 = time.perf_counter()
-        arrays = pack_state(payload)
-        arrays[_CHECKSUM_KEY] = np.array(_digest(arrays))
-        # Uncompressed and without fsync: a checkpoint must cost a few
-        # percent of one step; deflate and fsync dominate the write at
-        # that budget, and neither buys anything against the layer's
-        # threat model (process death + checksum-verified load).
-        try:
-            path = self._write_verified(self.path_for(step), arrays)
-        except OSError as exc:
-            path = self._save_degraded(arrays, step, exc)
-        self._prune()
+        path = self._write(state, step, None)
         hub = _telemetry.active_hub
         if hub is not None:
             # Metrics only: save() may run on the background writer
@@ -283,35 +304,72 @@ class CheckpointManager:
             )
         return path
 
-    def _write_verified(
-        self, target: Path, arrays: Mapping[str, np.ndarray]
+    def save_shard(
+        self, state: Mapping[str, Any], *, step: int, rank: int
     ) -> Path:
-        """Atomic write + checksum read-back of one archive at ``target``.
+        """Atomically write one rank's shard of the step-``step`` state.
+
+        Shards take the same write, checksum, ladder and retention as
+        :meth:`save`, but are keyed by ``(step, rank)``: rank recovery
+        (:class:`~repro.distributed.recovery.RankRecoveryManager`)
+        rebuilds a dead rank's rows from the latest step at which
+        *every* rank's shard is on disk.
+        """
+        if rank < 0:
+            raise ValueError("rank must be non-negative")
+        path = self._write(state, step, int(rank))
+        hub = _telemetry.active_hub
+        if hub is not None:
+            hub.metrics.counter("checkpoint.shard_writes").inc()
+        return path
+
+    def _write(
+        self, state: Mapping[str, Any], step: int, rank: Optional[int]
+    ) -> Path:
+        """Pack, digest, publish and prune one archive of either kind."""
+        if step < 0:
+            raise ValueError("step must be non-negative")
+        meta: Dict[str, Any] = {"format_version": FORMAT_VERSION, "step": int(step)}
+        if rank is not None:
+            meta["rank"] = rank
+        meta["kind"] = str(state.get("kind", "unknown" if rank is None else "shard"))
+        arrays = pack_state({"meta": meta, "state": dict(state)})
+        arrays[_CHECKSUM_KEY] = np.array(_digest(arrays))
+        name = self._name(step, rank)
+        try:
+            path = self._publish(self.directory / name, arrays)
+        except OSError as exc:
+            path = self._save_degraded(arrays, name, exc)
+        self._prune(shards=rank is not None)
+        return path
+
+    def _publish(self, target: Path, arrays: Mapping[str, np.ndarray]) -> Path:
+        """Atomic write + digest read-back of one archive at ``target``.
+
+        Uncompressed and without fsync: a checkpoint must cost a few
+        percent of one step; deflate and fsync dominate the write at
+        that budget, and neither buys anything against the layer's
+        threat model (process death + checksum-verified load).
 
         Retention safety: never let a bad in-flight write evict the
-        newest *verified* checkpoint.  Pruning runs only after the
-        just-written file passes the same checksum gate a resume
-        would apply; a write that lands torn is deleted and reported,
-        leaving every older checkpoint in place.
+        newest *verified* step.  Pruning runs only after the
+        just-written file passes the same digest check a resume would
+        apply; a write that lands torn is deleted and reported, leaving
+        every older file in place.
         """
         path = atomic_savez(target, compress=False, fsync=False, **arrays)
         try:
-            self._verify(path)
+            self._read(path, "after writing")
         except CheckpointCorruptionError:
-            try:
+            with suppress(OSError):  # pragma: no cover - already gone
                 path.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
             raise
         return path
 
     def _save_degraded(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        step: int,
-        first_exc: OSError,
+        self, arrays: Mapping[str, np.ndarray], name: str, first_exc: OSError
     ) -> Path:
-        """The checkpoint degraded-mode ladder after a failed write.
+        """The degraded-mode ladder after a failed write of ``name``.
 
         Checkpoints are the senior durable class, so a failed write
         escalates instead of shedding: (1) ask the governor to evict
@@ -326,41 +384,43 @@ class CheckpointManager:
         from repro.resources.governor import ResourceExhausted
 
         logger.warning(
-            "checkpoint write for step %d failed (%s); entering degraded "
-            "ladder", step, first_exc,
+            "checkpoint write of %s failed (%s); entering degraded ladder",
+            name, first_exc,
         )
         if self.governor is not None:
-            blob = arrays.get(_BLOB_KEY)
-            need = (int(blob.nbytes) if blob is not None else 0) * 2 + (1 << 20)
+            need = int(arrays[_BLOB_KEY].nbytes) * 2 + (1 << 20)
             self.governor.emergency_release(need)
             try:
-                return self._write_verified(self.path_for(step), arrays)
+                return self._publish(self.directory / name, arrays)
             except OSError:
                 pass
-        if self.spill_dir is not None:
-            try:
-                self.spill_dir.mkdir(parents=True, exist_ok=True)
-                path = self._write_verified(
-                    self.spill_dir / self.path_for(step).name, arrays
-                )
-            except OSError as exc:
-                raise ResourceExhausted(
-                    f"checkpoint for step {step} failed on both the primary "
-                    f"directory ({first_exc}) and the spill directory "
-                    f"({exc})"
-                ) from exc
-            self.spills += 1
-            logger.warning(
-                "checkpoint for step %d spilled to %s", step, path
-            )
-            hub = _telemetry.active_hub
-            if hub is not None:
-                hub.metrics.counter("checkpoint.spills").inc()
-            return path
-        raise ResourceExhausted(
-            f"checkpoint for step {step} failed ({first_exc}) and no spill "
-            "directory is configured"
-        ) from first_exc
+        if self.spill_dir is None:
+            raise ResourceExhausted(
+                f"checkpoint {name} failed ({first_exc}) and no spill "
+                "directory is configured"
+            ) from first_exc
+        try:
+            self.spill_dir.mkdir(parents=True, exist_ok=True)
+            path = self._publish(self.spill_dir / name, arrays)
+        except OSError as exc:
+            raise ResourceExhausted(
+                f"checkpoint {name} failed on both the primary directory "
+                f"({first_exc}) and the spill directory ({exc})"
+            ) from exc
+        self.spills += 1
+        logger.warning("checkpoint %s spilled to %s", name, path)
+        hub = _telemetry.active_hub
+        if hub is not None:
+            hub.metrics.counter("checkpoint.spills").inc()
+        return path
+
+    def _prune(self, *, shards: bool) -> None:
+        """Delete every file of one kind outside the ``keep`` newest steps."""
+        waves = list(self._waves(shards).values())
+        for wave in waves[: max(0, len(waves) - self.keep)]:
+            for p in wave.values():
+                with suppress(OSError):  # pragma: no cover - racing cleanup
+                    p.unlink()
 
     def save_async(self, state: Mapping[str, Any], *, step: int) -> Path:
         """Queue ``state`` for writing on the background writer thread.
@@ -406,164 +466,38 @@ class CheckpointManager:
         if exc is not None:
             raise exc
 
-    def _verify(self, path: Path) -> None:
-        """Checksum-verify the file at ``path`` without unpacking it.
+    # ------------------------------------------------------------------
+    # read
+    # ------------------------------------------------------------------
+    def _read(self, path: Path, when: str) -> Dict[str, np.ndarray]:
+        """Every array of the archive at ``path``, digest-checked but
+        not unpacked (the cheap check each write applies before
+        pruning older steps).
 
-        Raises :class:`CheckpointCorruptionError` on a torn archive or
-        digest mismatch — the cheap read-back gate :meth:`save` applies
-        before pruning older checkpoints.
+        Raises :class:`CheckpointCorruptionError` on a torn archive, a
+        missing checksum or state tree, or a digest mismatch;
+        :class:`FileNotFoundError` passes through.
         """
         try:
             with np.load(path, allow_pickle=False) as data:
                 arrays = {k: np.asarray(data[k]) for k in data.files}
+        except FileNotFoundError:
+            raise
         except (zipfile.BadZipFile, ValueError, KeyError, OSError, EOFError) as exc:
             raise CheckpointCorruptionError(
-                f"checkpoint {path} failed write verification: {exc}"
+                f"checkpoint {path} failed verification {when}: "
+                f"unreadable ({exc})"
             ) from exc
-        if _CHECKSUM_KEY not in arrays:
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} was written without a checksum"
-            )
-        if _digest(arrays) != str(arrays[_CHECKSUM_KEY][()]):
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} failed its content checksum right "
-                "after writing (torn or corrupted write)"
-            )
-
-    def _prune(self) -> None:
-        found = self.checkpoints()
-        for old in found[: max(0, len(found) - self.keep)]:
-            try:
-                old.unlink()
-            except OSError:  # pragma: no cover - racing cleanup is benign
-                pass
-
-    # ------------------------------------------------------------------
-    # per-rank shards (distributed recovery)
-    # ------------------------------------------------------------------
-    def shard_path_for(self, step: int, rank: int) -> Path:
-        return self.directory / f"{self.prefix}-shard{rank:04d}-{step:09d}.npz"
-
-    def save_shard(
-        self, state: Mapping[str, Any], *, step: int, rank: int
-    ) -> Path:
-        """Atomically write one rank's shard of the step-``step`` state.
-
-        Shards get the full checkpoint treatment — atomic replace,
-        SHA-256 content checksum, format versioning — but are keyed by
-        ``(step, rank)``: rank recovery
-        (:class:`~repro.distributed.recovery.RankRecoveryManager`)
-        rebuilds a dead rank's rows from the latest step at which
-        *every* rank's shard is on disk.
-        """
-        if step < 0:
-            raise ValueError("step must be non-negative")
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
-        payload = {
-            "meta": {
-                "format_version": FORMAT_VERSION,
-                "step": int(step),
-                "rank": int(rank),
-                "kind": str(state.get("kind", "shard")),
-            },
-            "state": dict(state),
-        }
-        arrays = pack_state(payload)
-        arrays[_CHECKSUM_KEY] = np.array(_digest(arrays))
-        path = atomic_savez(
-            self.shard_path_for(step, rank), compress=False, fsync=False,
-            **arrays,
-        )
-        # Same verify-before-prune gate as :meth:`save`: a torn shard
-        # write must never evict the last complete shard wave.
-        try:
-            self._verify(path)
-        except CheckpointCorruptionError:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-            raise
-        self._prune_shards()
-        hub = _telemetry.active_hub
-        if hub is not None:
-            hub.metrics.counter("checkpoint.shard_writes").inc()
-        return path
-
-    def shard_steps(self) -> List[int]:
-        """Steps that have at least one shard on disk, oldest first."""
-        steps = set()
-        for p in self.directory.glob(f"{self.prefix}-shard*-*.npz"):
-            try:
-                steps.add(int(p.stem.rsplit("-", 1)[1]))
-            except ValueError:  # pragma: no cover - foreign file
-                continue
-        return sorted(steps)
-
-    def shards_at(self, step: int) -> Dict[int, Path]:
-        """``{rank: path}`` of the shards stored for ``step``."""
-        out: Dict[int, Path] = {}
-        for p in self.directory.glob(
-            f"{self.prefix}-shard*-{step:09d}.npz"
-        ):
-            head = p.stem.rsplit("-", 1)[0]
-            try:
-                out[int(head[len(self.prefix) + len("-shard"):])] = p
-            except ValueError:  # pragma: no cover - foreign file
-                continue
-        return out
-
-    def load_shards(
-        self, step: Optional[int] = None, *, expect_ranks: Optional[int] = None
-    ) -> Tuple[Dict[int, Dict[str, Any]], int]:
-        """Load every rank's shard for one step; ``(states, step)``.
-
-        ``step`` defaults to the newest step whose shard set is
-        *complete* (``expect_ranks`` shards present, when given) and
-        fully loadable — an interrupted shard wave or a corrupt file
-        falls back to the previous step, mirroring
-        :meth:`load_latest`.
-        """
-        candidates = (
-            [int(step)] if step is not None else list(reversed(self.shard_steps()))
-        )
-        if not candidates:
-            raise FileNotFoundError(f"no shards under {self.directory}")
-        last_error: Optional[Exception] = None
-        for s in candidates:
-            found = self.shards_at(s)
-            if not found:
-                raise FileNotFoundError(
-                    f"no shards for step {s} under {self.directory}"
-                )
-            if expect_ranks is not None and len(found) != expect_ranks:
-                last_error = CheckpointCorruptionError(
-                    f"step {s} has {len(found)}/{expect_ranks} shards"
-                )
-                continue
-            try:
-                return (
-                    {r: self.load(p)[0] for r, p in sorted(found.items())},
-                    s,
-                )
-            except CheckpointCorruptionError as exc:
-                last_error = exc
+        if not {_CHECKSUM_KEY, _TREE_KEY, _BLOB_KEY} <= set(arrays):
+            problem = "no checksum or state tree"
+        elif _digest(arrays) != str(arrays[_CHECKSUM_KEY][()]):
+            problem = "content checksum mismatch"
+        else:
+            return arrays
         raise CheckpointCorruptionError(
-            f"no complete loadable shard set under {self.directory}; "
-            f"last error: {last_error}"
+            f"checkpoint {path} failed verification {when}: {problem}"
         )
 
-    def _prune_shards(self) -> None:
-        steps = self.shard_steps()
-        for old_step in steps[: max(0, len(steps) - self.keep)]:
-            for p in self.shards_at(old_step).values():
-                try:
-                    p.unlink()
-                except OSError:  # pragma: no cover - racing cleanup
-                    pass
-
-    # ------------------------------------------------------------------
     def load(self, path: Optional[PathLike] = None) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """Load and verify a checkpoint; returns ``(state, meta)``.
 
@@ -578,26 +512,7 @@ class CheckpointManager:
                 raise FileNotFoundError(
                     f"no checkpoints under {self.directory}"
                 )
-        path = Path(path)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {k: np.asarray(data[k]) for k in data.files}
-        except FileNotFoundError:
-            raise
-        except (zipfile.BadZipFile, ValueError, KeyError, OSError, EOFError) as exc:
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} is unreadable: {exc}"
-            ) from exc
-        if not {_CHECKSUM_KEY, _TREE_KEY, _BLOB_KEY} <= set(arrays):
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} is missing its checksum or state tree"
-            )
-        stored = str(arrays[_CHECKSUM_KEY][()])
-        if _digest(arrays) != stored:
-            raise CheckpointCorruptionError(
-                f"checkpoint {path} failed its content checksum"
-            )
-        payload = unpack_state(arrays)
+        payload = unpack_state(self._read(Path(path), "on load"))
         meta = payload.get("meta", {})
         version = meta.get("format_version")
         if version != FORMAT_VERSION:
@@ -607,29 +522,73 @@ class CheckpointManager:
             )
         return payload["state"], meta
 
+    def _first_loadable(
+        self,
+        waves: Dict[int, Wave],
+        load_wave: Callable[[int, Wave], Any],
+        *,
+        fallback: bool = True,
+    ) -> Any:
+        """``load_wave(step, wave)`` of the newest wave that loads.
+
+        With ``fallback``, a :class:`CheckpointCorruptionError` skips
+        to the next older step (the recovery path after a crash plus
+        disk corruption); without it, the newest step's error stands.
+        """
+        if not waves:
+            raise FileNotFoundError(f"nothing to load under {self.directory}")
+        last_error: Optional[Exception] = None
+        for step in reversed(waves):
+            try:
+                return load_wave(step, waves[step])
+            except CheckpointCorruptionError as exc:
+                if not fallback:
+                    raise
+                last_error = exc
+        raise CheckpointCorruptionError(
+            f"none of the {len(waves)} steps under {self.directory} "
+            f"loads; last error: {last_error}"
+        )
+
     def load_latest(self, *, fallback: bool = True) -> Tuple[Dict[str, Any], Dict[str, Any], Path]:
         """Load the newest *loadable* checkpoint.
 
         With ``fallback`` (default), a corrupt newest checkpoint is
-        skipped and older ones are tried — the recovery path after a
-        crash plus disk corruption.  Returns ``(state, meta, path)``.
+        skipped and older ones are tried.  Returns
+        ``(state, meta, path)``.
         """
-        found = self.checkpoints()
-        if not found:
-            raise FileNotFoundError(f"no checkpoints under {self.directory}")
-        last_error: Optional[Exception] = None
-        for path in reversed(found):
-            try:
-                state, meta = self.load(path)
-                return state, meta, path
-            except CheckpointCorruptionError as exc:
-                last_error = exc
-                if not fallback:
-                    raise
-        raise CheckpointCorruptionError(
-            f"all {len(found)} checkpoints under {self.directory} are "
-            f"corrupt; last error: {last_error}"
+        return self._first_loadable(
+            self._waves(False),
+            lambda step, wave: (*self.load(wave[None]), wave[None]),
+            fallback=fallback,
         )
+
+    def load_shards(
+        self, step: Optional[int] = None, *, expect_ranks: Optional[int] = None
+    ) -> Tuple[Dict[int, Dict[str, Any]], int]:
+        """Load every rank's shard for one step; ``(states, step)``.
+
+        ``step`` defaults to the newest step whose shard set is
+        *complete* (``expect_ranks`` shards present, when given) and
+        fully loadable — an interrupted shard wave or a corrupt file
+        falls back to the previous step, as in :meth:`load_latest`.
+        """
+        waves = self._waves(True)
+        if step is not None:
+            if int(step) not in waves:
+                raise FileNotFoundError(
+                    f"no shards for step {step} under {self.directory}"
+                )
+            waves = {int(step): waves[int(step)]}
+
+        def load_wave(s: int, wave: Wave) -> Tuple[Dict[int, Any], int]:
+            if expect_ranks is not None and len(wave) != expect_ranks:
+                raise CheckpointCorruptionError(
+                    f"step {s} has {len(wave)}/{expect_ranks} shards"
+                )
+            return {r: self.load(p)[0] for r, p in sorted(wave.items())}, s
+
+        return self._first_loadable(waves, load_wave)
 
     # ------------------------------------------------------------------
     def overhead_estimate(self) -> Dict[str, float]:

@@ -106,10 +106,8 @@ class JobWorker:
         newest checkpoint, else 0)."""
         if self._runner is not None:
             return self._runner.step_index
-        latest = self.checkpoints.latest()
-        if latest is None:
-            return 0
-        return int(latest.stem.rsplit("-", 1)[1])
+        steps = self.checkpoints.steps()
+        return steps[-1] if steps else 0
 
     @property
     def warm(self) -> bool:

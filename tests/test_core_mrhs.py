@@ -30,8 +30,18 @@ class TestMrhsParameters:
     def test_validation(self):
         with pytest.raises(ValueError):
             MrhsParameters(m=0)
-        with pytest.raises(ValueError):
-            MrhsParameters(block_tol=2.0)
+
+    def test_state_ignores_legacy_block_tol(self, mrhs_run):
+        """Checkpoints from before ``block_tol`` was removed carry the
+        key (always ``None``); restoring one still works."""
+        state = mrhs_run.get_state()
+        assert "block_tol" not in state
+        restored = MrhsStokesianDynamics(
+            random_configuration(40, 0.4, rng=0), SDParameters(),
+            MrhsParameters(m=2), rng=1,
+        )
+        restored.set_state({**state, "block_tol": None})
+        assert restored.mrhs == MrhsParameters(m=6)
 
 
 class TestChunkStructure:

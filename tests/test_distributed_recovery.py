@@ -16,7 +16,13 @@ from repro.resilience.checkpoint import (
     CheckpointCorruptionError,
     CheckpointManager,
 )
-from repro.resilience.faults import RankFailure
+from repro.resilience.faults import (
+    FaultPlan,
+    FaultSpec,
+    RankFailure,
+    arm,
+    disarm,
+)
 from repro.resilience.policies import RecoveryPolicy, ResilienceExhausted
 from repro.resilience.runner import ResilientRunner
 from tests.conftest import random_bcrs
@@ -89,6 +95,38 @@ class TestShardCheckpoints:
             for r in range(2):
                 mgr.save_shard(_shard(r, step), step=step, rank=r)
         assert mgr.shard_steps() == [3, 4]
+
+
+    def test_enospc_shard_spills_and_recovers(self, tmp_path):
+        """A shard write that hits ENOSPC takes the global checkpoints'
+        degraded ladder: it lands in the spill directory, where
+        ``load_shards`` and rank recovery find it."""
+        clean = _driver(seed=7)
+        clean.run_steps(4)
+
+        mgr = CheckpointManager(tmp_path / "ck", spill_dir=tmp_path / "spill")
+        sim = _driver(seed=7)
+        sim.recovery = RankRecoveryManager(mgr)
+        sim.run_steps(2)
+        arm(FaultPlan(specs=[FaultSpec(
+            site="io.enospc", at={"writer": "atomic_savez"}, times=1
+        )]))
+        try:
+            sim.recovery.checkpoint(sim)
+        finally:
+            disarm()
+        spilled = tmp_path / "spill" / mgr.shard_path_for(2, 0).name
+        assert spilled.exists() and not mgr.shard_path_for(2, 0).exists()
+        assert mgr.spills == 1
+        assert mgr.shards_at(2)[0] == spilled
+        states, step = mgr.load_shards(expect_ranks=4)
+        assert step == 2 and sorted(states) == [0, 1, 2, 3]
+
+        sim.run_steps(2)
+        report = sim.recovery.recover(sim, [1])
+        assert report.restored_step == 2 and report.replayed_steps == 2
+        assert sim.n_parts == 3
+        np.testing.assert_allclose(sim.X, clean.X, rtol=1e-12, atol=1e-14)
 
 
 class TestRehomeRows:

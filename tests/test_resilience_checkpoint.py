@@ -160,6 +160,32 @@ class TestManager:
             man.flush()
 
 
+class TestFileFormat:
+    """Stored digests pinned to what earlier builds wrote: the archive
+    layout, meta key order and kind defaults stay byte-compatible."""
+
+    @staticmethod
+    def _stored_checksum(path):
+        with np.load(path, allow_pickle=False) as data:
+            return str(data["__checksum__"][()])
+
+    def test_global_checkpoint_checksum_pinned(self, tmp_path):
+        path = CheckpointManager(tmp_path).save(
+            {"kind": "sd", "v": np.arange(8.0)}, step=1
+        )
+        assert self._stored_checksum(path) == (
+            "c3e5d77b793933867cb88d19d06d772800fc98bfd823333773e7b0f855a162c6"
+        )
+
+    def test_shard_checksum_pinned(self, tmp_path):
+        path = CheckpointManager(tmp_path).save_shard(
+            {"x": np.arange(4.0)}, step=1, rank=0
+        )
+        assert self._stored_checksum(path) == (
+            "c3160d2a7c925d2a30d486ccbf31de5122e12dbfaef31859c5301a997edbd597"
+        )
+
+
 class TestAtomicity:
     def test_failed_write_leaves_destination_and_no_temp(self, tmp_path):
         path = tmp_path / "data.npz"

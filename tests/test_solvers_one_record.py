@@ -226,8 +226,11 @@ def _cg_drift():
     return conjugate_gradient(_Drifting(_spd(12, 3, 1.0)), b, tol=1e-10)
 
 
+_INDEFINITE = np.diag([3.0, 1.0, -2.0, 5.0, 0.5])
+
+
 def _cg_indefinite():
-    return conjugate_gradient(np.diag([3.0, 1.0, -2.0, 5.0, 0.5]), np.ones(5))
+    return conjugate_gradient(_INDEFINITE, np.ones(5))
 
 
 def _block_deflation():
@@ -399,3 +402,29 @@ class TestTrueResidualHistogram:
         assert res.converged and verified != res.final_residual
         assert hist.count == 1
         assert hist.sum == verified
+
+    def test_cg_indefinite_observes_true_norm(self):
+        """A solve stopped by breakdown recomputes ``b - A x`` once; the
+        histogram gets that norm, not the recurred 3.53."""
+        hub = TelemetryHub()
+        telemetry.install(hub)
+        try:
+            res = _cg_indefinite()
+        finally:
+            telemetry.uninstall()
+        true = float(np.linalg.norm(np.ones(5) - _INDEFINITE @ res.x))
+        assert not res.converged
+        assert float(res.diagnostics.true_residual_norms[0]) == true
+        np.testing.assert_allclose(true, 3.527668414753, rtol=1e-9)
+        hist = hub.metrics.histogram("cg.true_residual", buckets=RESIDUAL_BUCKETS)
+        assert hist.count == 1
+        assert hist.sum == true
+
+    def test_cg_iteration_cap_reports_true_norm(self):
+        A = _spd(12, 3, 1.0)
+        b = np.random.default_rng(7).standard_normal(12)
+        res = conjugate_gradient(A, b, tol=1e-12, max_iter=3)
+        assert not res.converged and res.iterations == 3
+        np.testing.assert_array_equal(
+            res.diagnostics.true_residual_norms, [np.linalg.norm(b - A @ res.x)]
+        )
