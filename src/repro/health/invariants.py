@@ -25,8 +25,9 @@ Catalogue (DESIGN.md §10):
 ``spectrum``
     SPD sanity of the resistance matrix: every diagonal block must be
     symmetric positive-definite (a cheap necessary condition for SPD),
-    and the cached Lanczos spectrum bounds — the ones the Chebyshev
-    generator already computes — must stay positive with a bounded
+    and the driver's cached spectrum bounds — the ones the Chebyshev
+    generator already uses: the analytic far-field drag floor below, a
+    Lanczos estimate on top — must stay positive with a bounded
     condition estimate.
 ``fluctuation-dissipation``
     Sliding-window drift monitor comparing the realized Brownian
@@ -106,7 +107,9 @@ class HealthContext:
     """Named flat arrays from the step: ``velocity``, ``brownian-force``,
     ``displacement``, ``guess`` — whichever exist."""
     bounds: Optional[Tuple[float, float]] = None
-    """Cached Lanczos spectrum bounds of the resistance matrix."""
+    """Cached spectrum bounds of the resistance matrix: the analytic
+    far-field drag floor ``muF * 6 pi mu a_min`` and a widened Lanczos
+    top end (see :meth:`StokesianDynamics.spectrum_bounds`)."""
     R: Optional[BCRSMatrix] = None
     """The step's resistance matrix (for SPD sanity)."""
     final_scale: float = 1.0
@@ -243,10 +246,12 @@ class SpectrumCheck(InvariantCheck):
     """SPD/spectrum sanity of the resistance matrix.
 
     Diagonal-block positive-definiteness is a cheap *necessary*
-    condition for ``R`` SPD (a batched 3x3 ``eigvalsh``); the Lanczos
-    bounds — already computed by :meth:`StokesianDynamics
-    .spectrum_bounds` for the Chebyshev generator — cover the global
-    spectrum without an extra Lanczos run.
+    condition for ``R`` SPD (a batched 3x3 ``eigvalsh``); the bounds
+    already taken by :meth:`StokesianDynamics.spectrum_bounds` for the
+    Chebyshev generator cover the global spectrum without an extra
+    Lanczos run.  For a driver's interval the lower end is the analytic
+    far-field drag floor (a proof, not an estimate), so only the top
+    end and the condition estimate carry Lanczos error.
     """
 
     name = "spectrum"

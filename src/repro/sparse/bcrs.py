@@ -208,15 +208,18 @@ class BCRSMatrix:
     def diagonal_blocks(self) -> np.ndarray:
         """Return the ``(min(nbr,nbc), b, b)`` array of diagonal blocks.
 
-        Missing diagonal blocks come back as zero blocks.
+        Missing diagonal blocks come back as zero blocks; if a block row
+        holds duplicate diagonal entries, the first one wins.
         """
         nb = min(self.nb_rows, self.nb_cols)
         out = np.zeros((nb, self.block_size, self.block_size))
-        for i in range(nb):
-            cols, blks = self.block_row(i)
-            hit = np.nonzero(cols == i)[0]
-            if hit.size:
-                out[i] = blks[hit[0]]
+        rows = np.repeat(np.arange(self.nb_rows), np.diff(self.row_ptr))
+        hit = np.flatnonzero(self.col_ind == rows)
+        diag_rows = rows[hit]
+        # ``hit`` ascends, so a duplicate follows its row's first entry.
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = diag_rows[1:] != diag_rows[:-1]
+        out[diag_rows[first]] = self.blocks[hit[first]]
         return out
 
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ analytic on the interval (sqrt is, as long as ``lam_min > 0``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -153,8 +153,7 @@ def gershgorin_bounds(A) -> Tuple[float, float]:
 
     csr = bcrs_to_scipy(A, "csr")
     diag = csr.diagonal()
-    abs_rows = np.abs(csr).sum(axis=1).A1 if hasattr(np.abs(csr).sum(axis=1), "A1") else np.asarray(np.abs(csr).sum(axis=1)).ravel()
-    radius = abs_rows - np.abs(diag)
+    radius = np.asarray(abs(csr).sum(axis=1)).ravel() - np.abs(diag)
     upper = float(np.max(diag + radius))
     lower = float(np.min(diag - radius))
     floor = 1e-10 * max(upper, 1.0)
@@ -167,6 +166,7 @@ def lanczos_spectrum_bounds(
     rng: RngLike = None,
     safety: float = 1.05,
     tol: float = 1e-3,
+    lower: Optional[float] = None,
 ) -> Tuple[float, float]:
     """Estimate ``(lam_min, lam_max)`` of an SPD operator by Lanczos.
 
@@ -174,28 +174,42 @@ def lanczos_spectrum_bounds(
     spectrum, widened by ``safety`` (the Chebyshev interval must
     *contain* the spectrum).  Falls back to Gershgorin discs if Lanczos
     does not converge.
+
+    ``lower`` is a proven lower bound on ``lam_min`` — for a resistance
+    matrix, the far-field drag floor
+    (:func:`~repro.stokesian.resistance.far_field_drag`).  When given,
+    the smallest-eigenvalue solve (by far the slower end) is skipped and
+    ``lower`` is returned as is: it is a proof, not an estimate, so it
+    is not widened.  Only the top end is then estimated.
     """
     import scipy.sparse.linalg as spla
 
+    if lower is not None and not lower > 0:
+        raise ValueError(f"lower must be positive, got {lower}")
     n = A.shape[0]
     if n <= 2:
         dense = A.to_dense() if hasattr(A, "to_dense") else np.asarray(A)
         w = np.linalg.eigvalsh(dense)
-        return float(w[0]) / safety, float(w[-1]) * safety
+        lo = float(w[0]) / safety if lower is None else float(lower)
+        return lo, float(w[-1]) * safety
 
     gen = as_rng(rng)
     v0 = gen.standard_normal(n)
     op = spla.LinearOperator((n, n), matvec=lambda x: A @ x, dtype=np.float64)
+
+    def extreme(which: str) -> float:
+        return float(
+            spla.eigsh(op, k=1, which=which, tol=tol, v0=v0, return_eigenvectors=False)[0]
+        )
+
     try:
-        lam_max = float(
-            spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0, return_eigenvectors=False)[0]
-        )
-        lam_min = float(
-            spla.eigsh(op, k=1, which="SA", tol=tol, v0=v0, return_eigenvectors=False)[0]
-        )
+        lam_max = extreme("LA")
+        if lower is not None:
+            return float(lower), lam_max * safety
+        lam_min = extreme("SA")
         if lam_min <= 0:
             raise ValueError("non-positive Ritz value")
     except Exception:
         lo, hi = gershgorin_bounds(A)
-        return lo, hi * safety
+        return (lo if lower is None else float(lower)), hi * safety
     return lam_min / safety, lam_max * safety

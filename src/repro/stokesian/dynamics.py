@@ -36,7 +36,7 @@ from repro.stokesian.brownian import BrownianForceGenerator
 from repro.stokesian.integrators import apply_displacement
 from repro.stokesian.neighbors import NeighborList, VerletList
 from repro.stokesian.particles import ParticleSystem
-from repro.stokesian.resistance import build_resistance_matrix
+from repro.stokesian.resistance import build_resistance_matrix, far_field_drag
 import repro.telemetry as _telemetry
 from repro.telemetry import NULL_HUB, TelemetryHub
 from repro.util.rng import RngLike, as_rng, rng_from_json, rng_state_to_json
@@ -71,12 +71,15 @@ class SDParameters:
     """Use a block-Jacobi preconditioner in the solves."""
     bounds_refresh_steps: int = 50
     """Recompute the Chebyshev spectrum bounds every this many steps.
-    Between refreshes the cached bounds (widened by
+    Only the top end costs anything: it is a largest-eigenvalue Lanczos
+    solve, while the lower end is the analytic far-field drag floor.
+    Between refreshes the cached bounds (top end widened by
     ``bounds_safety``) are reused — valid because R evolves slowly, and
-    essential because a Lanczos bound costs far more than the Cmax
-    matrix products of the Chebyshev application itself."""
+    worthwhile because even that one Lanczos solve costs more than the
+    Cmax matrix products of the Chebyshev application itself."""
     bounds_safety: float = 1.25
-    """Widening factor applied to cached spectrum bounds."""
+    """Widening factor applied to the cached top end of the spectrum
+    bounds.  The lower end is a proven floor and is not widened."""
 
     def __post_init__(self) -> None:
         for name in ("dt", "viscosity", "kT"):
@@ -209,11 +212,16 @@ class StokesianDynamics:
         return last[2]
 
     def spectrum_bounds(self, R: BCRSMatrix) -> tuple[float, float]:
-        """Cached, safety-widened spectrum enclosure of ``R``.
+        """Cached spectrum enclosure of ``R`` (as :meth:`build_matrix`
+        assembles it).
 
-        A fresh Lanczos estimate is taken on the first call and then
-        every ``bounds_refresh_steps`` steps; in between, the widened
-        cached interval is reused (R drifts slowly with the particles).
+        The lower end is the far-field drag floor ``muF * 6 pi mu
+        a_min``: ``R = diag(drag) + Rlub`` with ``Rlub`` PSD, so it is a
+        proof for every configuration and is not widened.  The upper end
+        is a Lanczos estimate, taken on the first call and then every
+        ``bounds_refresh_steps`` steps and widened by ``bounds_safety``;
+        in between, the cached interval is reused (R drifts slowly with
+        the particles).
         """
         from repro.stokesian.chebyshev import lanczos_spectrum_bounds
 
@@ -221,9 +229,11 @@ class StokesianDynamics:
             self._cached_bounds is None
             or self._bounds_age >= self.params.bounds_refresh_steps
         ):
-            lo, hi = lanczos_spectrum_bounds(R, rng=self._aux_rng)
-            s = self.params.bounds_safety
-            self._cached_bounds = (lo / s, hi * s)
+            floor = float(
+                far_field_drag(self.system, viscosity=self.params.viscosity).min()
+            )
+            lo, hi = lanczos_spectrum_bounds(R, rng=self._aux_rng, lower=floor)
+            self._cached_bounds = (lo, hi * self.params.bounds_safety)
             self._bounds_age = 0
         self._bounds_age += 1
         return self._cached_bounds

@@ -31,7 +31,7 @@ from repro.stokesian.lubrication import pair_resistance_blocks
 from repro.stokesian.neighbors import NeighborList, neighbor_pairs
 from repro.stokesian.particles import ParticleSystem
 
-__all__ = ["far_field_viscosity", "build_resistance_matrix"]
+__all__ = ["far_field_viscosity", "far_field_drag", "build_resistance_matrix"]
 
 
 def far_field_viscosity(volume_fraction: float) -> float:
@@ -47,6 +47,27 @@ def far_field_viscosity(volume_fraction: float) -> float:
         raise ValueError("volume_fraction must be in [0, 1)")
     phi = float(volume_fraction)
     return 1.0 + 2.5 * phi + 5.2 * phi**2
+
+
+def far_field_drag(
+    system: ParticleSystem,
+    *,
+    viscosity: float = 1.0,
+    mu_far_field: float | None = None,
+) -> np.ndarray:
+    """Per-particle far-field drag ``muF * 6 pi mu a_i`` (radius-aware).
+
+    These are the diagonal blocks of ``R`` before ``Rlub`` is added.
+    ``Rlub`` is PSD, so ``drag.min()`` is a proven lower bound on
+    ``lambda_min(R)`` — the Chebyshev interval's lower end, with no
+    eigenvalue solve.  ``mu_far_field`` defaults to
+    :func:`far_field_viscosity` at the system's volume fraction.
+    """
+    if mu_far_field is None:
+        mu_far_field = far_field_viscosity(system.volume_fraction)
+    if mu_far_field <= 0:
+        raise ValueError("mu_far_field must be positive")
+    return mu_far_field * 6.0 * np.pi * viscosity * system.radii
 
 
 def build_resistance_matrix(
@@ -80,10 +101,7 @@ def build_resistance_matrix(
         cutoff_gap = float(np.mean(system.radii))
     if cutoff_gap <= 0:
         raise ValueError("cutoff_gap must be positive")
-    if mu_far_field is None:
-        mu_far_field = far_field_viscosity(system.volume_fraction)
-    if mu_far_field <= 0:
-        raise ValueError("mu_far_field must be positive")
+    drag = far_field_drag(system, viscosity=viscosity, mu_far_field=mu_far_field)
     nl = neighbor_list
     if nl is None:
         nl = neighbor_pairs(system, max_gap=cutoff_gap)
@@ -105,8 +123,7 @@ def build_resistance_matrix(
     cols = np.concatenate([i, j, j, i])
     vals = np.concatenate([blocks, blocks, -blocks, -blocks])
 
-    # Far-field drag: muF * 6 pi mu a_i per particle (radius-aware).
-    drag = mu_far_field * 6.0 * np.pi * viscosity * system.radii
+    # Far-field drag on the diagonal blocks.
     diag = np.einsum("k,ij->kij", drag, np.eye(3))
     rows = np.concatenate([rows, np.arange(n)])
     cols = np.concatenate([cols, np.arange(n)])

@@ -124,3 +124,64 @@ class TestSpectrumBounds:
         w = np.linalg.eigvalsh(A.to_dense())
         lo, hi = lanczos_spectrum_bounds(A)
         assert lo <= w.min() and hi >= w.max()
+
+
+class TestProvenLowerBound:
+    def test_lower_skips_smallest_eigenvalue_solve(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        A = random_bcrs(20, 5.0, seed=5, spd=True)
+        w = np.linalg.eigvalsh(A.to_dense())
+        calls = []
+        real = spla.eigsh
+        monkeypatch.setattr(
+            spla, "eigsh", lambda *a, **k: calls.append(k["which"]) or real(*a, **k)
+        )
+        lo, hi = lanczos_spectrum_bounds(A, rng=0, lower=0.5 * w[0], safety=1.1)
+        assert calls == ["LA"]
+        assert lo == 0.5 * w[0]  # a proof: returned unwidened
+        assert hi >= w[-1] * 1.09
+
+    def test_lower_keeps_the_start_vector_draw(self):
+        A = random_bcrs(20, 5.0, seed=5, spd=True)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        lanczos_spectrum_bounds(A, rng=a)
+        lanczos_spectrum_bounds(A, rng=b, lower=1.0)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_fallback_keeps_lower_and_widens_gershgorin_top(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        A = random_bcrs(15, 4.0, seed=6, spd=True)
+
+        def failing(*a, **k):
+            raise spla.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", failing)
+        g_lo, g_hi = gershgorin_bounds(A)
+        assert lanczos_spectrum_bounds(A, lower=0.25, safety=1.2) == (
+            0.25,
+            g_hi * 1.2,
+        )
+        assert lanczos_spectrum_bounds(A, safety=1.2) == (g_lo, g_hi * 1.2)
+
+    def test_dense_path_takes_lower(self):
+        A = random_bcrs(1, 1.0, seed=7, spd=True)
+        w = np.linalg.eigvalsh(A.to_dense())
+        lo, hi = lanczos_spectrum_bounds(A, lower=0.5 * w[0])
+        assert lo == 0.5 * w[0] and hi >= w[-1]
+
+    def test_non_positive_lower_rejected(self):
+        A = random_bcrs(20, 5.0, seed=5, spd=True)
+        with pytest.raises(ValueError, match="lower"):
+            lanczos_spectrum_bounds(A, lower=0.0)
+
+
+def test_gershgorin_matches_dense_discs():
+    A = random_bcrs(12, 4.0, seed=9, spd=True)
+    dense = A.to_dense()
+    d = np.diag(dense)
+    radius = np.abs(dense).sum(axis=1) - np.abs(d)
+    lo, hi = gershgorin_bounds(A)
+    assert hi == pytest.approx((d + radius).max(), rel=1e-14)
+    assert lo == pytest.approx(max((d - radius).min(), 1e-10 * max(hi, 1.0)), rel=1e-14)
