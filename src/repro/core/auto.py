@@ -15,8 +15,6 @@ from __future__ import annotations
 import logging
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.mrhs import ChunkRecord, MrhsParameters, MrhsStokesianDynamics
 from repro.core.schedule import AdaptiveM
 from repro.solvers.diagnostics import SolveDiagnostics
@@ -65,10 +63,6 @@ class AutoMrhsStokesianDynamics:
             system, params, MrhsParameters(m=1), rng=rng, forces=forces,
             telemetry=NULL_HUB if telemetry is None else telemetry,
         )
-        self.chosen_ms: List[int] = []
-        self.block_diagnostics: List[Optional[SolveDiagnostics]] = []
-        """Per-chunk auxiliary-solve diagnostics, aligned with
-        :attr:`chosen_ms` (robustness telemetry for the m policy)."""
 
     # ------------------------------------------------------------------
     @property
@@ -79,15 +73,24 @@ class AutoMrhsStokesianDynamics:
     def chunks(self) -> List[ChunkRecord]:
         return self._driver.chunks
 
+    @property
+    def chosen_ms(self) -> List[int]:
+        """The chunk size of each chunk in :attr:`chunks`."""
+        return [c.m for c in self.chunks]
+
+    @property
+    def block_diagnostics(self) -> List[Optional[SolveDiagnostics]]:
+        """Per-chunk auxiliary-solve diagnostics, aligned with
+        :attr:`chosen_ms` (robustness telemetry for the m policy)."""
+        return [c.block_diagnostics for c in self.chunks]
+
     def run_chunk(self) -> ChunkRecord:
         """Choose m for the current state, then advance one chunk."""
         R = self._driver.sd.build_matrix()
         m = int(self.policy.choose(R))
         m = max(1, min(self.m_cap, m))
-        self.chosen_ms.append(m)
         record = self._driver.run_chunk(m=m)
         diag = record.block_diagnostics
-        self.block_diagnostics.append(diag)
         if diag is not None:
             logger.debug(
                 "chunk %d (m=%d): %s", record.chunk_index, m, diag.summary()
@@ -115,28 +118,28 @@ class AutoMrhsStokesianDynamics:
     # checkpointable state
     # ------------------------------------------------------------------
     def get_state(self) -> Dict[str, Any]:
-        """Serializable state: the inner driver plus the m history.
+        """Serializable trajectory state: the inner driver's and the cap.
 
         The policy object itself is not serialized (policies may hold
         arbitrary callables); pass an equivalently-configured policy to
-        :meth:`from_state` when resuming.
+        :meth:`from_state` when resuming.  Nor are the chunk records
+        that :attr:`chosen_ms` and :attr:`block_diagnostics` read.
         """
         return {
             "kind": "auto",
             "driver": self._driver.get_state(),
-            "chosen_ms": np.array(self.chosen_ms, dtype=np.int64),
             "m_cap": self.m_cap,
         }
 
     def set_state(self, state: Dict[str, Any]) -> None:
+        """Restore :meth:`get_state` in place; older checkpoints' extra
+        ``chosen_ms`` key is ignored."""
         if state.get("kind") != "auto":
             raise ValueError(
                 f"not an AutoMrhsStokesianDynamics state: {state.get('kind')!r}"
             )
         self._driver.set_state(state["driver"])
         self.m_cap = int(state["m_cap"])
-        self.chosen_ms = [int(v) for v in state["chosen_ms"]]
-        self.block_diagnostics = [None] * len(self.chosen_ms)
 
     @classmethod
     def from_state(
@@ -152,8 +155,6 @@ class AutoMrhsStokesianDynamics:
         obj.policy = policy
         obj.m_cap = int(state["m_cap"])
         obj._driver = driver
-        obj.chosen_ms = [int(v) for v in state["chosen_ms"]]
-        obj.block_diagnostics = [None] * len(obj.chosen_ms)
         if policy is None:
             obj.policy = AdaptiveM(m=4, m_max=obj.m_cap)
         return obj

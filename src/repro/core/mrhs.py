@@ -45,13 +45,7 @@ from repro.resilience.faults import BlockSolveBroken, fire_fault
 from repro.solvers.block_cg import BlockCGResult, block_conjugate_gradient
 from repro.solvers.cg import conjugate_gradient
 from repro.solvers.diagnostics import SolveDiagnostics
-from repro.stokesian.dynamics import (
-    SDParameters,
-    StepRecord,
-    StokesianDynamics,
-    records_from_state,
-    records_to_state,
-)
+from repro.stokesian.dynamics import SDParameters, StepRecord, StokesianDynamics
 from repro.stokesian.particles import ParticleSystem
 from repro.telemetry import NULL_HUB, NULL_SPAN, TelemetryHub
 from repro.util.rng import RngLike
@@ -134,7 +128,9 @@ class _PendingChunk:
 
     Exists from :meth:`MrhsStokesianDynamics.begin_chunk` (block solve
     done) until the last in-chunk step completes, at which point it is
-    frozen into a :class:`ChunkRecord`.
+    frozen into a :class:`ChunkRecord`.  ``steps``, ``chunk_timings``
+    and ``block_diagnostics`` are this process's records of the chunk
+    and are not checkpointed; the rest is.
     """
 
     chunk_index: int
@@ -190,6 +186,11 @@ class MrhsStokesianDynamics:
         )
         self.mrhs = mrhs
         self.chunks: List[ChunkRecord] = []
+        """Records of the chunks this process finished (not trajectory
+        state: a resumed run starts with none)."""
+        self.chunks_done = 0
+        """Chunks finished since the run began, across resumes; the
+        next chunk's index (fault plans match on it)."""
         self._pending: Optional[_PendingChunk] = None
         self._chunk_span = NULL_SPAN
         """The open span of the pending chunk (steps nest under it)."""
@@ -208,9 +209,7 @@ class MrhsStokesianDynamics:
         return self.sd.params
 
     # ------------------------------------------------------------------
-    def _solve_block(
-        self, R0, rhs: np.ndarray, *, chunk_index: Optional[int] = None
-    ) -> tuple[BlockCGResult, List[int]]:
+    def _solve_block(self, R0, rhs: np.ndarray) -> tuple[BlockCGResult, List[int]]:
         """Run the augmented block solve with single-RHS CG fallback.
 
         When the block solve reports breakdown or fails to converge,
@@ -224,10 +223,8 @@ class MrhsStokesianDynamics:
         chunk — the hook the resilient runner's m-degradation policy
         tests against.
         """
-        index = len(self.chunks) if chunk_index is None else chunk_index
-        fault = fire_fault(
-            "mrhs.block_breakdown", chunk=index, m=rhs.shape[1]
-        )
+        index = self.chunks_done
+        fault = fire_fault("mrhs.block_breakdown", chunk=index, m=rhs.shape[1])
         if fault is not None:
             raise BlockSolveBroken(
                 f"injected block-solve breakdown in chunk {index} "
@@ -301,9 +298,9 @@ class MrhsStokesianDynamics:
         sw = Stopwatch()
         tr = self.telemetry.tracer
         # The chunk span stays open across the m in-chunk steps (they
-        # nest under it) and is closed by _finish_chunk — or right here
+        # nest under it) and is closed by finish_chunk — or right here
         # when the block solve breaks, so no span leaks past the abort.
-        self._chunk_span = tr.start("chunk", chunk=len(self.chunks), m=m)
+        self._chunk_span = tr.start("chunk", chunk=self.chunks_done, m=m)
         try:
             with sw.phase("Construct R0"), tr.span("Construct R0"):
                 R0 = self.sd.build_matrix()
@@ -317,16 +314,14 @@ class MrhsStokesianDynamics:
                 # The deterministic force at the chunk-start configuration
                 # seeds every column (f^P drifts as slowly as R does).
                 rhs = -F_B + self.sd.external_forces()[:, None]
-                block, fallback = self._solve_block(
-                    R0, rhs, chunk_index=len(self.chunks)
-                )
+                block, fallback = self._solve_block(R0, rhs)
         except BaseException as exc:
             self._chunk_span.set(error=type(exc).__name__)
             self._chunk_span.end()
             self._chunk_span = NULL_SPAN
             raise
         self._pending = _PendingChunk(
-            chunk_index=len(self.chunks),
+            chunk_index=self.chunks_done,
             m=m,
             Z=Z,
             U=block.X,
@@ -378,11 +373,14 @@ class MrhsStokesianDynamics:
         """The in-progress chunk, if any (``None`` at chunk boundaries)."""
         return self._pending
 
-    def step_in_chunk(self) -> StepRecord:
+    def step_in_chunk(self, *, finish: bool = True) -> StepRecord:
         """Advance one time step of the pending chunk (steps 4-14).
 
         Finishing the last step freezes the chunk into a
-        :class:`ChunkRecord` and clears the pending state.
+        :class:`ChunkRecord` and clears the pending state.  With
+        ``finish=False`` the chunk stays pending after its last step
+        until :meth:`finish_chunk`, so a caller that may still reject
+        that step rolls back into a live chunk.
         """
         p = self._pending
         if p is None:
@@ -392,12 +390,16 @@ class MrhsStokesianDynamics:
         self._log_step(p.chunk_index, p.k, step)
         p.steps.append(step)
         p.k += 1
-        if p.k == p.m:
-            self._finish_chunk()
+        if finish and p.k == p.m:
+            self.finish_chunk()
         return step
 
-    def _finish_chunk(self) -> ChunkRecord:
+    def finish_chunk(self) -> ChunkRecord:
+        """Freeze the pending chunk, all of whose steps are done, into
+        a :class:`ChunkRecord`."""
         p = self._pending
+        if p is None or p.k < p.m:
+            raise RuntimeError("no finished chunk to freeze")
         self._chunk_span.end(
             block_iterations=p.block_iterations,
             block_converged=p.block_converged,
@@ -425,6 +427,7 @@ class MrhsStokesianDynamics:
             quarantine_reason=p.quarantine_reason,
         )
         self.chunks.append(record)
+        self.chunks_done += 1
         self._pending = None
         return record
 
@@ -487,18 +490,21 @@ class MrhsStokesianDynamics:
     # checkpointable state
     # ------------------------------------------------------------------
     def get_state(self) -> Dict[str, Any]:
-        """Full serializable driver state, including mid-chunk position.
+        """Serializable trajectory state, including mid-chunk position.
 
         A checkpoint taken between two in-chunk steps stores the block
-        solve's noise ``Z`` and guess matrix ``U``, so resuming replays
-        the remaining steps bit-for-bit without re-running the block
-        solve (whose diagnostics, being telemetry, are dropped).
+        solve's noise ``Z`` and guess matrix ``U`` with the chunk's
+        cursor ``k``, so resuming replays the remaining steps
+        bit-for-bit without re-running the block solve.  Records are
+        not state: :attr:`chunks` and the pending chunk's steps,
+        timings and diagnostics are the log of what this process ran,
+        so a snapshot costs the same at every step of a run.
         """
         state: Dict[str, Any] = {
             "kind": "mrhs",
             "sd": self.sd.get_state(),
             "m": self.mrhs.m,
-            "chunks": _chunks_to_state(self.chunks),
+            "chunks_done": self.chunks_done,
             "pending": None,
         }
         p = self._pending
@@ -517,144 +523,84 @@ class MrhsStokesianDynamics:
                 "degradations": list(p.degradations),
                 "quarantined": p.quarantined,
                 "quarantine_reason": p.quarantine_reason,
-                "steps": records_to_state(p.steps),
-                "timings_phases": dict(p.chunk_timings.phases),
-                "timings_counts": dict(p.chunk_timings.counts),
             }
         return state
 
     def set_state(self, state: Dict[str, Any]) -> None:
-        """Restore :meth:`get_state` in place (bit-exact trajectory)."""
+        """Restore :meth:`get_state` in place (bit-exact trajectory).
+
+        Records are touched only to drop those at or after the restored
+        step or chunk.  A restore inside the live pending chunk (a
+        rejected step's rollback) keeps that chunk's open span, its
+        timings, its block diagnostics and its earlier steps; a restore
+        anywhere else closes the live span as abandoned.  Checkpoints
+        that still carry ``chunks`` summaries instead of
+        ``chunks_done`` restore too, and their chunk count continues.
+        """
         if state.get("kind") != "mrhs":
             raise ValueError(
                 f"not an MrhsStokesianDynamics state: {state.get('kind')!r}"
             )
-        # Restoring over an in-progress chunk abandons its live span.
-        self._chunk_span.end(abandoned=True)
-        self._chunk_span = NULL_SPAN
         self.sd.set_state(state["sd"])
         # Older checkpoints also carry an always-None ``block_tol``.
         self.mrhs = MrhsParameters(m=int(state["m"]))
-        self.chunks = _chunks_from_state(state["chunks"])
-        pend = state.get("pending")
+        if "chunks_done" in state:
+            self.chunks_done = int(state["chunks_done"])
+        else:
+            self.chunks_done = len(state["chunks"]["chunk_index"])
+        while self.chunks and self.chunks[-1].chunk_index >= self.chunks_done:
+            self.chunks.pop()
+        live, pend = self._pending, state.get("pending")
+        keep = (
+            pend is not None
+            and live is not None
+            and live.chunk_index == int(pend["chunk_index"])
+        )
+        if not keep:
+            self._chunk_span.end(abandoned=True)
+            self._chunk_span = NULL_SPAN
         if pend is None:
             self._pending = None
-        else:
-            self._pending = _PendingChunk(
-                chunk_index=int(pend["chunk_index"]),
-                m=int(pend["m"]),
-                Z=np.asarray(pend["Z"], dtype=np.float64),
-                U=np.asarray(pend["U"], dtype=np.float64),
-                block_iterations=int(pend["block_iterations"]),
-                block_gspmv_calls=int(pend["block_gspmv_calls"]),
-                block_converged=bool(pend["block_converged"]),
-                block_diagnostics=None,
-                fallback_columns=[int(j) for j in pend["fallback_columns"]],
-                chunk_timings=TimingRecord(
-                    phases=dict(pend["timings_phases"]),
-                    counts={k: int(v) for k, v in pend["timings_counts"].items()},
-                ),
-                steps=records_from_state(pend["steps"]),
-                k=int(pend["k"]),
-                retries=int(pend["retries"]),
-                degradations=[int(v) for v in pend["degradations"]],
-                quarantined=bool(pend.get("quarantined", False)),
-                quarantine_reason=str(pend.get("quarantine_reason", "")),
-            )
+            return
+        self._pending = _PendingChunk(
+            chunk_index=int(pend["chunk_index"]),
+            m=int(pend["m"]),
+            Z=np.asarray(pend["Z"], dtype=np.float64),
+            U=np.asarray(pend["U"], dtype=np.float64),
+            block_iterations=int(pend["block_iterations"]),
+            block_gspmv_calls=int(pend["block_gspmv_calls"]),
+            block_converged=bool(pend["block_converged"]),
+            block_diagnostics=live.block_diagnostics if keep else None,
+            fallback_columns=[int(j) for j in pend["fallback_columns"]],
+            chunk_timings=(
+                live.chunk_timings if keep else TimingRecord(phases={}, counts={})
+            ),
+            steps=(
+                [s for s in live.steps if s.step_index < self.sd.step_index]
+                if keep
+                else []
+            ),
+            k=int(pend["k"]),
+            retries=int(pend["retries"]),
+            degradations=[int(v) for v in pend["degradations"]],
+            quarantined=bool(pend.get("quarantined", False)),
+            quarantine_reason=str(pend.get("quarantine_reason", "")),
+        )
 
     @classmethod
     def from_state(
         cls, state: Dict[str, Any], *, forces=None, telemetry: TelemetryHub = NULL_HUB
     ) -> "MrhsStokesianDynamics":
-        """Reconstruct a driver from a checkpointed state."""
-        sd = StokesianDynamics.from_state(
-            state["sd"], forces=forces, telemetry=telemetry
+        """Reconstruct a driver from a checkpointed state.
+
+        A restored mid-chunk pending has no live span; its remaining
+        steps appear as roots in the resumed run's trace segment.
+        """
+        system = ParticleSystem(
+            positions=state["sd"]["positions"],
+            radii=state["sd"]["radii"],
+            box=state["sd"]["box"],
         )
-        driver = cls.__new__(cls)
-        driver.sd = sd
-        driver.mrhs = MrhsParameters(m=1)
-        driver.chunks = []
-        driver._pending = None
-        # A restored mid-chunk pending has no live span; its remaining
-        # steps appear as roots in the resumed run's trace segment.
-        driver._chunk_span = NULL_SPAN
+        driver = cls(system, forces=forces, telemetry=telemetry)
         driver.set_state(state)
         return driver
-
-
-# ----------------------------------------------------------------------
-# ChunkRecord summaries (checkpoint payloads)
-# ----------------------------------------------------------------------
-def _ragged_to_state(lists: List[List[int]]) -> Dict[str, np.ndarray]:
-    return {
-        "flat": np.array(
-            [v for sub in lists for v in sub], dtype=np.int64
-        ),
-        "counts": np.array([len(sub) for sub in lists], dtype=np.int64),
-    }
-
-
-def _ragged_from_state(state: Dict[str, np.ndarray]) -> List[List[int]]:
-    out: List[List[int]] = []
-    offset = 0
-    flat = state["flat"]
-    for count in state["counts"]:
-        out.append([int(v) for v in flat[offset : offset + int(count)]])
-        offset += int(count)
-    return out
-
-
-def _chunks_to_state(chunks: List[ChunkRecord]) -> Dict[str, Any]:
-    return {
-        "chunk_index": np.array([c.chunk_index for c in chunks], dtype=np.int64),
-        "m": np.array([c.m for c in chunks], dtype=np.int64),
-        "block_iterations": np.array(
-            [c.block_iterations for c in chunks], dtype=np.int64
-        ),
-        "block_gspmv_calls": np.array(
-            [c.block_gspmv_calls for c in chunks], dtype=np.int64
-        ),
-        "block_converged": np.array(
-            [c.block_converged for c in chunks], dtype=bool
-        ),
-        "retries": np.array([c.retries for c in chunks], dtype=np.int64),
-        "quarantined": np.array([c.quarantined for c in chunks], dtype=bool),
-        "quarantine_reason": [c.quarantine_reason for c in chunks],
-        "steps_per_chunk": np.array([len(c.steps) for c in chunks], dtype=np.int64),
-        "steps": records_to_state([s for c in chunks for s in c.steps]),
-        "fallback": _ragged_to_state([c.fallback_columns for c in chunks]),
-        "degradations": _ragged_to_state([c.degradations for c in chunks]),
-    }
-
-
-def _chunks_from_state(state: Dict[str, Any]) -> List[ChunkRecord]:
-    steps = records_from_state(state["steps"])
-    fallback = _ragged_from_state(state["fallback"])
-    degradations = _ragged_from_state(state["degradations"])
-    empty = TimingRecord(phases={}, counts={})
-    out: List[ChunkRecord] = []
-    offset = 0
-    n_chunks = len(state["chunk_index"])
-    quarantined = state.get("quarantined", np.zeros(n_chunks, dtype=bool))
-    reasons = state.get("quarantine_reason", [""] * n_chunks)
-    for i in range(n_chunks):
-        n_steps = int(state["steps_per_chunk"][i])
-        out.append(
-            ChunkRecord(
-                chunk_index=int(state["chunk_index"][i]),
-                m=int(state["m"][i]),
-                block_iterations=int(state["block_iterations"][i]),
-                block_gspmv_calls=int(state["block_gspmv_calls"][i]),
-                block_converged=bool(state["block_converged"][i]),
-                steps=steps[offset : offset + n_steps],
-                chunk_timings=empty,
-                block_diagnostics=None,
-                fallback_columns=fallback[i],
-                degradations=degradations[i],
-                retries=int(state["retries"][i]),
-                quarantined=bool(quarantined[i]),
-                quarantine_reason=str(reasons[i]),
-            )
-        )
-        offset += n_steps
-    return out

@@ -10,13 +10,15 @@ the step, and diagnoses the outcome three ways:
 3. when a :class:`~repro.health.monitor.HealthMonitor` is attached, any
    fatal invariant verdict the monitor recorded for the step.
 
-A rejected step is rolled back (state *and* monitor observations) and
-retried with ``dt`` halved per :class:`~repro.resilience.policies
-.RetryPolicy` — unless the violation is traced to a stale MRHS block
-solution, in which case the pending chunk is **quarantined** (its
-remaining initial guesses discarded; the chunk finishes on cold-start
-CG) and the step retried at the *same* ``dt``, because the guess, not
-the step size, was the poison.
+A rejected step is rolled back (state, monitor observations and the
+attempt's metrics, by :meth:`StepAcceptanceController.rollback`, which
+the resilient runner's chunk rewind shares) and retried with ``dt``
+halved per :class:`~repro.resilience.policies.RetryPolicy` — unless
+the violation is traced to a stale MRHS block solution, in which case
+the pending chunk is **quarantined** (its remaining initial guesses
+discarded; the chunk finishes on cold-start CG) and the step retried
+at the *same* ``dt``, because the guess, not the step size, was the
+poison.
 
 :class:`~repro.resilience.runner.ResilientRunner` composes this
 controller rather than duplicating the loop; it can also be used
@@ -154,16 +156,40 @@ class StepAcceptanceController:
                 )
         return None
 
+    def metrics_snapshot(self) -> Any:
+        """What :meth:`rollback` restores the metrics to."""
+        return self._metrics().snapshot()
+
+    def _metrics(self):
+        return getattr(self._sd(), "telemetry", NULL_HUB).metrics
+
+    def rollback(self, state: Any, metrics_snapshot: Any) -> None:
+        """Undo one rejected attempt: restore the driver ``state``,
+        withdraw the monitor's observations from the restored step on,
+        and withdraw the metrics recorded since ``metrics_snapshot``.
+
+        The one rollback for both a rejected step and the resilient
+        runner's chunk rewind, so metrics and health reports track the
+        accepted timeline whichever attempt failed.
+        """
+        self.driver.set_state(state)
+        if self.monitor is not None:
+            self.monitor.rollback(self.step_index)
+        if metrics_snapshot is not None:
+            self._metrics().restore(metrics_snapshot)
+
     def attempt_step(self) -> StepOutcome:
         """Advance one accepted step, rejecting and retrying as needed.
 
         Raises :class:`ResilienceExhausted` when the retry budget runs
         out, and lets :class:`FaultInjected` (deliberate drill faults)
-        propagate untouched.
+        propagate untouched.  An MRHS chunk whose last step this is is
+        frozen only once the step is accepted, so a rejection rolls
+        back into the live chunk.
         """
         shadow = self.driver.get_state()
         shadow_dt = float(self._sd().params.dt)
-        telemetry = getattr(self._sd(), "telemetry", NULL_HUB)
+        metrics = self._metrics()
         outcome = StepOutcome()
         retries = 0
         backoffs = 0
@@ -171,13 +197,13 @@ class StepAcceptanceController:
             # Snapshot per attempt: a rejection withdraws the metrics of
             # *this* attempt only (mirroring monitor.rollback), keeping
             # the rejection counters of earlier attempts intact.
-            metrics_shadow = telemetry.metrics.snapshot()
+            metrics_shadow = self.metrics_snapshot()
             step_at = self.step_index
             failure: Optional[str] = None
             check: Optional[str] = None
             try:
                 if self._chunked:
-                    self.driver.step_in_chunk()
+                    self.driver.step_in_chunk(finish=False)
                 else:
                     self.driver.step()
             except FaultInjected:
@@ -190,8 +216,11 @@ class StepAcceptanceController:
                 if verdict is not None:
                     failure, check = verdict
             if failure is None:
-                if self._chunked and self.driver.pending is not None:
-                    self.driver.pending.retries += retries
+                pending = self.driver.pending if self._chunked else None
+                if pending is not None:
+                    pending.retries += retries
+                    if pending.k == pending.m:
+                        self.driver.finish_chunk()
                 return outcome
             if check is not None:
                 outcome.rejected_checks.append(check)
@@ -200,14 +229,8 @@ class StepAcceptanceController:
                     f"step {self.step_index} failed after "
                     f"{retries} retries: {failure}"
                 )
-            # Reject: roll back the state, the monitor's view of it, and
-            # the rejected attempt's metrics.
-            self.driver.set_state(shadow)
-            if self.monitor is not None:
-                self.monitor.rollback(step_at)
-            if metrics_shadow is not None:
-                telemetry.metrics.restore(metrics_shadow)
-            telemetry.metrics.counter("steps.rejected").inc()
+            self.rollback(shadow, metrics_shadow)
+            metrics.counter("steps.rejected").inc()
             retries += 1
             outcome.retries += 1
             # Seeded exponential backoff between rejection and retry —
@@ -216,7 +239,7 @@ class StepAcceptanceController:
             wait = self.retry.backoff.delay(retries, key=step_at)
             if wait > 0:
                 outcome.backoff_seconds += wait
-                telemetry.metrics.counter("steps.backoff_seconds").inc(wait)
+                metrics.counter("steps.backoff_seconds").inc(wait)
                 self.sleep(wait)
             if (
                 self.monitor is not None
@@ -237,7 +260,7 @@ class StepAcceptanceController:
             else:
                 backoffs += 1
                 outcome.dt_backoffs += 1
-                telemetry.metrics.counter("steps.dt_backoffs").inc()
+                metrics.counter("steps.dt_backoffs").inc()
                 new_dt = shadow_dt * self.retry.dt_backoff**backoffs
                 self._set_dt(new_dt)
                 logger.warning(

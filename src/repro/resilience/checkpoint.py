@@ -1,9 +1,11 @@
 """Atomic, versioned, checksummed run checkpoints.
 
-A checkpoint is the full serializable state of a simulation driver —
-particle system, RNG bit-generator states, step index, MRHS chunk
-position, and accumulated per-step/per-chunk summaries — packed into a
-single NPZ archive.  The contract that everything else builds on:
+A checkpoint is the trajectory state of a simulation driver — particle
+system, RNG bit-generator states, step index, MRHS chunk count and
+mid-chunk position — packed into a single NPZ archive.  Step and chunk
+records are not in it: they are the log of the process that ran them,
+so a checkpoint's size does not grow with the run.  The contract that
+everything else builds on:
 
 * **Crash safety.**  Writes go through :func:`repro.io.atomic_savez`
   (temp file + ``os.replace``), so the checkpoint directory never
@@ -84,10 +86,10 @@ def pack_state(state: Mapping[str, Any]) -> Dict[str, np.ndarray]:
 
     ndarray leaves are concatenated byte-exactly into **one** ``uint8``
     blob (a zip entry per array would dominate the checkpoint budget —
-    a driver state holds dozens of small record arrays); the remaining
-    structure — dicts, lists, scalars, strings, ``None`` — rides in a
-    JSON tree whose ``{"__array__": {dtype, shape, offset, nbytes}}``
-    placeholders index into the blob.
+    a state with its health report and metrics holds many small
+    arrays); the remaining structure — dicts, lists, scalars, strings,
+    ``None`` — rides in a JSON tree whose ``{"__array__": {dtype,
+    shape, offset, nbytes}}`` placeholders index into the blob.
     """
     chunks: List[bytes] = []
     offset = 0

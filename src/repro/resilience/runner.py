@@ -9,7 +9,8 @@ adds the recovery machinery long campaigns need:
   off — then healed back to the original ``dt`` after a healthy streak;
 * **graceful MRHS degradation**: a chunk whose auxiliary block solve
   breaks repeatedly is rewound and retried at ``m/2``, halving until it
-  succeeds (recorded in ``ChunkRecord.degradations``);
+  succeeds (recorded in ``ChunkRecord.degradations``).  The rewind is
+  the same rollback as a rejected step's;
 * **periodic checkpoints** through a
   :class:`~repro.resilience.checkpoint.CheckpointManager`, taken at
   step granularity — including *mid-chunk* for the MRHS driver — so a
@@ -308,16 +309,22 @@ class ResilientRunner:
 
     # ------------------------------------------------------------------
     def _begin_chunk_resilient(self, m_target: int, report: RunReport) -> None:
-        """Block solve with rewind + m-halving on repeated breakdown."""
+        """Block solve with rewind + m-halving on repeated breakdown.
+
+        A broken attempt is undone by the step acceptance controller's
+        rollback (driver state, monitor and the attempt's metrics), so
+        the counters track the accepted timeline.
+        """
         shadow = self.driver.get_state()
         m = int(m_target)
         attempts = 0
         degradations: List[int] = []
         while True:
+            metrics_shadow = self._controller.metrics_snapshot()
             try:
                 pending = self.driver.begin_chunk(m)
             except BlockSolveBroken as exc:
-                self.driver.set_state(shadow)
+                self._controller.rollback(shadow, metrics_shadow)
                 attempts += 1
                 logger.warning(
                     "block solve broke down (attempt %d at m=%d): %s",

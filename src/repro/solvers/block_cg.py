@@ -226,15 +226,27 @@ def _block_conjugate_gradient(
     monitor.count_matvec()
     latest_rn = np.linalg.norm(R_full, axis=0)
     monitor.observe(latest_rn)
-    if np.all(latest_rn <= stop):
+    bad = ~np.isfinite(latest_rn)
+    finite = not bad.any()
+    if not finite:
+        # A NaN or infinite column never joins the block (it would poison
+        # every column through ``P^T A P``), gets no finite solution a
+        # caller could mistake for one, and fails the solve.
+        monitor.record_breakdown(
+            "non_finite_residual",
+            f"columns {np.flatnonzero(bad).tolist()} have non-finite residuals",
+        )
+        X[:, bad] = np.nan
+    # Active-column bookkeeping: converged columns are deflated out (and
+    # non-finite ones fail ``> stop``).
+    act = np.flatnonzero(latest_rn > stop)
+    if act.size == 0:
         return BlockCGResult(
             X=X, gspmv_calls=gspmv_calls, diagnostics=monitor.finalize(
-                converged=True, true_residual_norms=latest_rn
+                converged=finite, true_residual_norms=latest_rn
             ),
         )
 
-    # Active-column bookkeeping: converged columns are deflated out.
-    act = np.flatnonzero(latest_rn > stop)
     R = R_full[:, act].copy()
     Z = apply_m(R)
     P = Z.copy()
@@ -288,7 +300,7 @@ def _block_conjugate_gradient(
             true_rn[act] = rn_true
             conv_true = rn_true <= stop[act]
             if conv_true.all():
-                converged = True
+                converged = finite
                 break
             if conv_true.any():
                 # Deflate: freeze converged columns, shrink the block.

@@ -11,13 +11,14 @@ is the observable the MRHS algorithm improves.  It shares the solver
 robustness layer (:mod:`repro.solvers.diagnostics`): convergence is
 verified against the *true* residual ``b - A x`` (not the recurrence),
 with residual replacement and a restart when the recurrence has
-drifted, and breakdown (``p^T A p <= 0``) is reported as an event in
-``CGResult.diagnostics`` instead of being silently folded into a
-non-converged flag.
+drifted, and breakdown (``p^T A p <= 0``, or a residual norm that is
+not finite) is reported as an event in ``CGResult.diagnostics`` instead
+of being silently folded into a non-converged flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -143,7 +144,9 @@ def _conjugate_gradient(
     monitor.count_matvec()
     rn = float(np.linalg.norm(r))
     monitor.observe([rn])
-    if rn <= stop:
+    # An infinite ``b`` makes ``stop`` infinite too: only a finite
+    # residual may converge (the loop below stops on the other kind).
+    if rn <= stop and math.isfinite(rn):
         return CGResult(
             x=x, diagnostics=monitor.finalize(
                 converged=True, true_residual_norms=np.array([rn])
@@ -154,6 +157,16 @@ def _conjugate_gradient(
     rz = float(r @ z)
     converged = False
     while monitor.iteration < max_iter:
+        if not math.isfinite(rn):
+            # A NaN or infinite residual never converges: stop instead
+            # of running to the iteration cap, and return no finite
+            # iterate a caller could mistake for a solution.
+            monitor.record_breakdown(
+                "non_finite_residual",
+                f"||r|| = {rn} at iteration {monitor.iteration}",
+            )
+            x[:] = np.nan
+            break
         Ap = A @ p
         monitor.count_matvec()
         pAp = float(p @ Ap)

@@ -48,6 +48,7 @@ class BreakdownEvent:
     (the ``P^T A P`` system of block CG lost rank),
     ``"beta_singular"`` (the ``R^T Z`` system is near-singular after
     deflation), ``"indefinite_operator"`` (CG saw ``p^T A p <= 0``),
+    ``"non_finite_residual"`` (a residual norm went NaN or infinite),
     ``"stagnation"`` (no progress despite restarts) or
     ``"divergence"`` (iterative refinement expanding).
     """

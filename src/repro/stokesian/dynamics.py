@@ -419,13 +419,13 @@ class StokesianDynamics:
     # checkpointable state
     # ------------------------------------------------------------------
     def get_state(self) -> Dict[str, Any]:
-        """Full serializable driver state (see ``repro.resilience``).
+        """Serializable trajectory state (see ``repro.resilience``).
 
         Everything that influences the future trajectory is captured:
         configuration, both RNG bit-generator states, the cached
         spectrum bounds with their refresh age, and the step counter.
-        ``history`` is kept as compact per-step summaries (timings and
-        solver diagnostics are telemetry, not trajectory state).
+        :attr:`history` is not: it is the log of the steps this process
+        ran, so a snapshot costs the same at every step of a run.
         """
         lo, hi = self._cached_bounds or (None, None)
         return {
@@ -440,7 +440,6 @@ class StokesianDynamics:
             "bounds_hi": hi,
             "bounds_age": self._bounds_age,
             "params": asdict(self.params),
-            "history": records_to_state(self.history),
         }
 
     def set_state(self, state: Dict[str, Any]) -> None:
@@ -449,6 +448,9 @@ class StokesianDynamics:
         Arrays are shape- and finiteness-validated *before* any live
         state is overwritten: a corrupted checkpoint fails loudly here,
         at resume, instead of poisoning the trajectory ten steps later.
+        Of :attr:`history`, only the records at or after the restored
+        step are dropped (they never happened); earlier ones stay.
+        Checkpoints that still carry a ``history`` key restore too.
         """
         if state.get("kind") != "sd":
             raise ValueError(f"not a StokesianDynamics state: {state.get('kind')!r}")
@@ -471,7 +473,9 @@ class StokesianDynamics:
         lo, hi = state.get("bounds_lo"), state.get("bounds_hi")
         self._cached_bounds = None if lo is None else (float(lo), float(hi))
         self._bounds_age = int(state["bounds_age"])
-        self.history = records_from_state(state["history"])
+        # Records are in step order, so the ones to drop are a tail.
+        while self.history and self.history[-1].step_index >= self.step_index:
+            self.history.pop()
 
     @classmethod
     def from_state(
@@ -507,56 +511,3 @@ def _params_from_state(params: Dict[str, Any]) -> SDParameters:
     process-wide by :func:`repro.sparse.set_default_engine`).
     """
     return SDParameters(**{k: v for k, v in params.items() if k != "engine"})
-
-
-# ----------------------------------------------------------------------
-# StepRecord summaries (checkpoint payloads)
-# ----------------------------------------------------------------------
-def records_to_state(records: List[StepRecord]) -> Dict[str, np.ndarray]:
-    """Compress step records to flat arrays for checkpointing.
-
-    Wall-clock timings and solver diagnostics are dropped: they are
-    observability data, not trajectory state, and a resumed run gets
-    fresh ones.
-    """
-    return {
-        "step_index": np.array([r.step_index for r in records], dtype=np.int64),
-        "iterations_first": np.array(
-            [r.iterations_first for r in records], dtype=np.int64
-        ),
-        "iterations_second": np.array(
-            [r.iterations_second for r in records], dtype=np.int64
-        ),
-        "converged": np.array([r.converged for r in records], dtype=bool),
-        "midpoint_scale": np.array(
-            [r.midpoint_scale for r in records], dtype=np.float64
-        ),
-        "final_scale": np.array([r.final_scale for r in records], dtype=np.float64),
-        "guess_error": np.array(
-            [np.nan if r.guess_error is None else r.guess_error for r in records],
-            dtype=np.float64,
-        ),
-    }
-
-
-def records_from_state(state: Dict[str, np.ndarray]) -> List[StepRecord]:
-    """Rebuild summary :class:`StepRecord` objects (empty timings)."""
-    empty = TimingRecord(phases={}, counts={})
-    n = len(state["step_index"])
-    return [
-        StepRecord(
-            step_index=int(state["step_index"][i]),
-            iterations_first=int(state["iterations_first"][i]),
-            iterations_second=int(state["iterations_second"][i]),
-            converged=bool(state["converged"][i]),
-            timings=empty,
-            midpoint_scale=float(state["midpoint_scale"][i]),
-            final_scale=float(state["final_scale"][i]),
-            guess_error=(
-                None
-                if np.isnan(state["guess_error"][i])
-                else float(state["guess_error"][i])
-            ),
-        )
-        for i in range(n)
-    ]

@@ -8,7 +8,6 @@ uses one to produce the per-phase breakdowns of Tables VI and VII
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from contextlib import contextmanager
@@ -24,44 +23,9 @@ class TimingRecord:
     counts: Mapping[str, int]
 
     def total(self) -> float:
-        # fsum over sorted keys: exact and order-independent, so
-        # a.merged(b).total() == b.merged(a).total() regardless of dict
+        # fsum over sorted keys: exact and independent of dict
         # insertion order.
         return math.fsum(self.phases[k] for k in sorted(self.phases))
-
-    def fraction(self, phase: str) -> float:
-        """Fraction of total time spent in ``phase`` (0 if total is 0)."""
-        tot = self.total()
-        return self.phases.get(phase, 0.0) / tot if tot > 0 else 0.0
-
-    def mean(self, phase: str) -> float:
-        """Mean duration of one occurrence of ``phase``."""
-        c = self.counts.get(phase, 0)
-        return self.phases.get(phase, 0.0) / c if c else 0.0
-
-    def merged(self, other: "TimingRecord") -> "TimingRecord":
-        phases: Dict[str, float] = dict(self.phases)
-        counts: Dict[str, int] = dict(self.counts)
-        for k, v in other.phases.items():
-            phases[k] = phases.get(k, 0.0) + v
-        for k, c in other.counts.items():
-            counts[k] = counts.get(k, 0) + c
-        return TimingRecord(phases=phases, counts=counts)
-
-    def to_json(self) -> str:
-        """Round-trippable JSON (benchmark reports, telemetry sidecars)."""
-        return json.dumps(
-            {"phases": dict(self.phases), "counts": dict(self.counts)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TimingRecord":
-        data = json.loads(text)
-        return cls(
-            phases={str(k): float(v) for k, v in data["phases"].items()},
-            counts={str(k): int(v) for k, v in data["counts"].items()},
-        )
 
 
 @dataclass
@@ -100,20 +64,5 @@ class Stopwatch:
             self._elapsed[name] = self._elapsed.get(name, 0.0) + dur
             self._counts[name] = self._counts.get(name, 0) + 1
 
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record ``seconds`` of (possibly simulated) time against ``name``."""
-        if seconds < 0:
-            raise ValueError("cannot record negative time")
-        self._elapsed[name] = self._elapsed.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + count
-
-    def elapsed(self, name: str) -> float:
-        return self._elapsed.get(name, 0.0)
-
     def record(self) -> TimingRecord:
         return TimingRecord(phases=dict(self._elapsed), counts=dict(self._counts))
-
-    def reset(self) -> None:
-        self._elapsed.clear()
-        self._counts.clear()
-        self._active.clear()

@@ -174,6 +174,39 @@ class TestCGRobustness:
         assert res.converged
         assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_stops_at_first_non_finite_residual(self, bad):
+        A = spd(n=20, seed=9)
+        b = np.random.default_rng(10).standard_normal(20)
+        b[3] = bad
+        res = conjugate_gradient(
+            A, b, x0=np.ones(20), tol=1e-8, max_iter=10_000
+        )
+        assert not res.converged
+        assert res.iterations == 0
+        (event,) = res.diagnostics.breakdown_events
+        assert event.kind == "non_finite_residual"
+        # No finite iterate is passed off as a solution.
+        assert np.isnan(res.x).all()
+
+
+class TestBlockCGNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_column_is_not_converged(self, bad):
+        A = spd(n=20, seed=9)
+        B = np.random.default_rng(11).standard_normal((20, 3))
+        B[5, 1] = bad
+        res = block_conjugate_gradient(A, B, tol=1e-8, max_iter=1_000)
+        assert not res.converged
+        assert [e.kind for e in res.diagnostics.breakdown_events] == [
+            "non_finite_residual"
+        ]
+        assert np.isnan(res.X[:, 1]).all()
+        # The finite columns are still solved.
+        for j in (0, 2):
+            r = B[:, j] - A @ res.X[:, j]
+            assert np.linalg.norm(r) <= 1e-8 * np.linalg.norm(B[:, j])
+
 
 class TestRefinementRobustness:
     def test_divergence_surfaced(self):

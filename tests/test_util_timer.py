@@ -16,27 +16,6 @@ class TestStopwatch:
         assert rec.counts["a"] == 2
         assert rec.phases["a"] >= 0.0
 
-    def test_add_simulated_time(self):
-        sw = Stopwatch()
-        sw.add("solve", 1.5)
-        sw.add("solve", 0.5, count=3)
-        rec = sw.record()
-        assert rec.phases["solve"] == pytest.approx(2.0)
-        assert rec.counts["solve"] == 4
-
-    def test_add_negative_raises(self):
-        with pytest.raises(ValueError):
-            Stopwatch().add("x", -1.0)
-
-    def test_elapsed_unknown_phase_is_zero(self):
-        assert Stopwatch().elapsed("nope") == 0.0
-
-    def test_reset(self):
-        sw = Stopwatch()
-        sw.add("x", 1.0)
-        sw.reset()
-        assert sw.record().total() == 0.0
-
     def test_exception_inside_phase_still_recorded(self):
         sw = Stopwatch()
         with pytest.raises(RuntimeError):
@@ -46,25 +25,7 @@ class TestStopwatch:
 
 
 class TestTimingRecord:
-    def test_total_and_fraction(self):
+    def test_total(self):
         rec = TimingRecord(phases={"a": 3.0, "b": 1.0}, counts={"a": 1, "b": 1})
         assert rec.total() == pytest.approx(4.0)
-        assert rec.fraction("a") == pytest.approx(0.75)
-        assert rec.fraction("missing") == 0.0
-
-    def test_fraction_of_empty_record(self):
-        rec = TimingRecord(phases={}, counts={})
-        assert rec.fraction("a") == 0.0
-
-    def test_mean(self):
-        rec = TimingRecord(phases={"a": 6.0}, counts={"a": 3})
-        assert rec.mean("a") == pytest.approx(2.0)
-        assert rec.mean("zzz") == 0.0
-
-    def test_merged(self):
-        r1 = TimingRecord(phases={"a": 1.0}, counts={"a": 1})
-        r2 = TimingRecord(phases={"a": 2.0, "b": 5.0}, counts={"a": 1, "b": 2})
-        m = r1.merged(r2)
-        assert m.phases["a"] == pytest.approx(3.0)
-        assert m.phases["b"] == pytest.approx(5.0)
-        assert m.counts["a"] == 2
+        assert TimingRecord(phases={}, counts={}).total() == 0.0
