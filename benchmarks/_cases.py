@@ -105,5 +105,8 @@ def synthetic_matrix(nb: int, blocks_per_row: float, seed: int = 0) -> BCRSMatri
 
 
 def default_params(**overrides) -> SDParameters:
-    """The harness's standard SD parameters."""
-    return SDParameters(**overrides)
+    """The harness's standard SD parameters.
+
+    Unpreconditioned, as the paper's CG is, so the tables keep the
+    paper's iteration counts; ``precondition=True`` overrides it."""
+    return SDParameters(**{"precondition": False, **overrides})

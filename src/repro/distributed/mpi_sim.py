@@ -204,14 +204,6 @@ class ChannelFaultPlan:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def without_crashes(self) -> "ChannelFaultPlan":
-        """The same plan minus crash faults (used after a recovery —
-        the dead rank is gone; its crash must not re-fire on replay)."""
-        return ChannelFaultPlan(
-            specs=tuple(s for s in self.specs if s.kind != "crash"),
-            seed=self.seed,
-        )
-
     def remap_ranks(self, mapping: Mapping[int, int]) -> "ChannelFaultPlan":
         """Translate rank coordinates through a survivor renumbering.
 

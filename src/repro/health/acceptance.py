@@ -97,8 +97,9 @@ class StepAcceptanceController:
         Optional health monitor.  Without one the controller reproduces
         the resilient runner's original behavior exactly (exception +
         state-screen diagnosis, every retry backs off ``dt``); with one,
-        fatal invariant verdicts also reject steps and traced
-        violations quarantine the MRHS chunk.
+        rejected steps withdraw its observations, and fatal invariant
+        verdicts also reject steps and traced violations quarantine the
+        MRHS chunk, unless ``reject_on_fatal`` is false (observe only).
     sleep:
         Callable taking a delay in seconds, invoked before each retry
         with the :class:`~repro.resilience.policies.BackoffPolicy`
@@ -113,11 +114,13 @@ class StepAcceptanceController:
         *,
         retry: RetryPolicy = RetryPolicy(),
         monitor: Optional[HealthMonitor] = None,
+        reject_on_fatal: bool = True,
         sleep: Optional[Any] = None,
     ) -> None:
         self.driver = driver
         self.retry = retry
         self.monitor = monitor
+        self.reject_on_fatal = bool(reject_on_fatal)
         self.sleep = time.sleep if sleep is None else sleep
         self._chunked = hasattr(driver, "begin_chunk") and hasattr(driver, "sd")
 
@@ -146,7 +149,7 @@ class StepAcceptanceController:
             return "non-finite positions", None
         if deepest_relative_overlap(sd.system) > self.retry.overlap_tol:
             return "overlapping particles", None
-        if self.monitor is not None:
+        if self.monitor is not None and self.reject_on_fatal:
             fatal = self.monitor.fatal_for(step_at)
             if fatal is not None:
                 return (
@@ -243,6 +246,7 @@ class StepAcceptanceController:
                 self.sleep(wait)
             if (
                 self.monitor is not None
+                and self.reject_on_fatal
                 and self._chunked
                 and violation_traced_to_guess(self.driver, failure)
             ):

@@ -97,9 +97,6 @@ class HealthReport:
         """Fatal results still in the ring, oldest first."""
         return [r for r in self._ring if r.severity is Severity.FATAL]
 
-    def results_for(self, step_index: int) -> List[InvariantResult]:
-        return [r for r in self._ring if r.step_index == step_index]
-
     def fatal_for(self, step_index: int) -> Optional[InvariantResult]:
         """The first fatal result recorded at ``step_index``, if any."""
         for r in self._ring:

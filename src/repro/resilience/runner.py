@@ -205,7 +205,8 @@ class ResilientRunner:
             self._controller = StepAcceptanceController(
                 driver,
                 retry=retry,
-                monitor=monitor if reject_on_fatal else None,
+                monitor=monitor,
+                reject_on_fatal=reject_on_fatal,
                 sleep=sleep,
             )
         # Engine watchdog wiring: kernel demotions and miscompares get

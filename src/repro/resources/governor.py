@@ -113,7 +113,6 @@ class ResourceGovernor:
         self.releases = 0
         self.released_bytes = 0
         self._hub: Optional[Any] = None
-        self._shedding: Dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     def bind_hub(self, hub: Any) -> None:
@@ -265,14 +264,12 @@ class ResourceGovernor:
     def note_stream_shed(
         self, stream: str, path: Path, exc: OSError
     ) -> None:
-        self._shedding[stream] = True
         self._event(
             "stream_shed", stream=stream, path=str(path),
             error=str(exc),
         )
 
     def note_stream_recovered(self, stream: str) -> None:
-        self._shedding.pop(stream, None)
         self._event("stream_recovered", stream=stream)
 
     def note_flight_shed(self, reason: str, exc: OSError) -> None:
@@ -284,10 +281,6 @@ class ResourceGovernor:
             reason, exc,
         )
         self._event("flight_shed", reason=reason, error=str(exc))
-
-    @property
-    def shedding_streams(self) -> List[str]:
-        return sorted(self._shedding)
 
 
 # ----------------------------------------------------------------------

@@ -198,10 +198,6 @@ class JobRecord:
         anchor = self.submitted_tick
         return self.spec.priority + aging_rate * max(0, now - anchor)
 
-    @property
-    def remaining_steps(self) -> int:
-        return max(0, self.spec.steps - self.steps_done)
-
     # ------------------------------------------------------------------
     # serialization (journal compaction snapshots)
     # ------------------------------------------------------------------

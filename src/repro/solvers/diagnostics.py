@@ -177,8 +177,10 @@ class ConvergenceMonitor:
         self.solver = solver
         self.stop = np.atleast_1d(np.asarray(stop_thresholds, dtype=np.float64))
         self.n_columns = self.stop.shape[0]
-        # Stagnation-metric divisor: never zero, so no division guard.
-        self._scale = np.where(self.stop > 0, self.stop, 1.0)
+        # Stagnation-metric divisor: never zero; NaN for a non-finite
+        # threshold, whose column's metric is then NaN (no progress).
+        s = self.stop
+        self._scale = np.where(np.isfinite(s), np.where(s > 0, s, 1.0), np.nan)
         self.stagnation_window = int(stagnation_window)
         self.stagnation_improvement = float(stagnation_improvement)
         self.history: List[np.ndarray] = []

@@ -233,6 +233,21 @@ class TestMisparameterizedRun:
         assert report.retries == 0  # nothing rejected...
         assert monitor.report.worst() is Severity.FATAL  # ...but recorded
 
+    def test_observe_only_mode_withdraws_rejected_observations(self):
+        """A step the state screen rejects leaves no observation behind,
+        whether or not the monitor's own verdicts may reject."""
+        driver = _mrhs(n=24, m=4)
+        monitor = HealthMonitor()
+        runner = ResilientRunner(
+            driver, monitor=monitor, reject_on_fatal=False,
+            injector=_nan_plan(2),
+        )
+        report = runner.run_steps(4)
+        assert report.steps_completed == 4
+        assert report.retries == 1
+        assert monitor.report.counts[Severity.FATAL] == 0
+        assert "fatal=0" in monitor.report.summary()
+
 
 class TestSetStateValidation:
     """Satellite: corrupted checkpoints fail loudly at resume."""

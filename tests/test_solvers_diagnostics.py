@@ -174,6 +174,7 @@ class TestCGRobustness:
         assert res.converged
         assert np.linalg.norm(b - A @ res.x) <= 1e-10 * np.linalg.norm(b)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rhs_stops_at_first_non_finite_residual(self, bad):
         A = spd(n=20, seed=9)
@@ -191,6 +192,7 @@ class TestCGRobustness:
 
 
 class TestBlockCGNonFinite:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_column_is_not_converged(self, bad):
         A = spd(n=20, seed=9)
