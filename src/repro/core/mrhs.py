@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.resilience.faults import BlockSolveBroken, fire_fault
 from repro.solvers.block_cg import BlockCGResult, block_conjugate_gradient
-from repro.solvers.cg import conjugate_gradient
 from repro.solvers.diagnostics import SolveDiagnostics
 from repro.stokesian.dynamics import SDParameters, StepRecord, StokesianDynamics
 from repro.stokesian.particles import ParticleSystem
@@ -231,13 +230,9 @@ class MrhsStokesianDynamics:
                 f"(m={rhs.shape[1]})"
             )
         tol = self.params.tol
-        precond = self.sd.make_preconditioner(R0)
         block = block_conjugate_gradient(
-            R0,
-            rhs,
-            tol=tol,
-            max_iter=self.params.max_iter,
-            preconditioner=precond,
+            R0, rhs, tol=tol, max_iter=self.params.max_iter,
+            preconditioner=self.sd.preconditioner(R0),
         )
         diag = block.diagnostics
         logger.info("chunk block solve: %s", diag.summary())
@@ -248,15 +243,7 @@ class MrhsStokesianDynamics:
             stop = tol * np.where(b_norms > 0, b_norms, 1.0)
             true_rn = np.linalg.norm(rhs - R0 @ block.X, axis=0)
             for j in np.flatnonzero(true_rn > stop):
-                res = conjugate_gradient(
-                    R0,
-                    rhs[:, j],
-                    x0=block.X[:, j],
-                    tol=tol,
-                    max_iter=self.params.max_iter,
-                    preconditioner=precond,
-                )
-                block.X[:, j] = res.x
+                block.X[:, j] = self.sd.solve(R0, rhs[:, j], x0=block.X[:, j]).x
                 fallback.append(int(j))
             if fallback:
                 logger.warning(
@@ -385,6 +372,12 @@ class MrhsStokesianDynamics:
         p = self._pending
         if p is None:
             raise RuntimeError("no chunk in progress; call begin_chunk first")
+        if self._chunk_span is NULL_SPAN:
+            # A pending chunk restored without its live span (a resume)
+            # gets a new one, so its remaining steps nest under a chunk.
+            self._chunk_span = self.telemetry.tracer.start(
+                "chunk", chunk=p.chunk_index, m=p.m, resumed=True
+            )
         u_guess = None if p.quarantined else p.U[:, p.k].copy()
         step = self.sd.step(z=p.Z[:, p.k], u_guess=u_guess)
         self._log_step(p.chunk_index, p.k, step)
@@ -593,8 +586,9 @@ class MrhsStokesianDynamics:
     ) -> "MrhsStokesianDynamics":
         """Reconstruct a driver from a checkpointed state.
 
-        A restored mid-chunk pending has no live span; its remaining
-        steps appear as roots in the resumed run's trace segment.
+        A restored mid-chunk pending has no live span; its next step
+        opens one marked ``resumed``, under which the rest of its steps
+        nest.
         """
         system = ParticleSystem(
             positions=state["sd"]["positions"],

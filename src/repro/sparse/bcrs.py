@@ -18,15 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Tuple
+from typing import Callable, Iterable, Tuple, TypeVar
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.util.validation import check_index_array, check_square_blocks
 
 __all__ = ["BCRSMatrix"]
 
 _INDEX_DTYPE = np.int32  # BCRS index arrays cost 4 bytes/entry in the paper's model
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,22 +208,29 @@ class BCRSMatrix:
         lo, hi = int(self.row_ptr[i]), int(self.row_ptr[i + 1])
         return self.col_ind[lo:hi], self.blocks[lo:hi]
 
+    def _derived(self, name: str, build: Callable[["BCRSMatrix"], T]) -> T:
+        """``build(self)``, kept on the matrix under ``name`` and built
+        once per :attr:`blocks` array: rebinding ``blocks`` rebuilds it,
+        an in-place edit of the values does not."""
+        cache = self.__dict__.setdefault("_derived_cache", {})
+        built = cache.get(name)
+        if built is None or built[0] is not self.blocks:
+            built = cache[name] = (self.blocks, build(self))
+        return built[1]
+
     def diagonal_blocks(self) -> np.ndarray:
         """Return the ``(min(nbr,nbc), b, b)`` array of diagonal blocks.
 
         Missing diagonal blocks come back as zero blocks; if a block row
-        holds duplicate diagonal entries, the first one wins.
+        holds duplicate diagonal entries, the first one wins.  Gathered
+        once per block array (:meth:`_derived`) and read-only.
         """
-        nb = min(self.nb_rows, self.nb_cols)
-        out = np.zeros((nb, self.block_size, self.block_size))
-        rows = np.repeat(np.arange(self.nb_rows), np.diff(self.row_ptr))
-        hit = np.flatnonzero(self.col_ind == rows)
-        diag_rows = rows[hit]
-        # ``hit`` ascends, so a duplicate follows its row's first entry.
-        first = np.ones(hit.size, dtype=bool)
-        first[1:] = diag_rows[1:] != diag_rows[:-1]
-        out[diag_rows[first]] = self.blocks[hit[first]]
-        return out
+        return self._derived("diagonal_blocks", _gather_diagonal)
+
+    def scipy_view(self) -> sp.bsr_matrix:
+        """A ``scipy.sparse.bsr_matrix`` sharing :attr:`blocks` (so it
+        sees in-place edits), built once per block array."""
+        return self._derived("scipy_view", _bsr_view)
 
     # ------------------------------------------------------------------
     # algebra
@@ -306,3 +316,27 @@ class BCRSMatrix:
             f"BCRSMatrix(shape={self.shape}, block_size={self.block_size}, "
             f"nnzb={self.nnzb}, blocks_per_row={self.blocks_per_row:.2f})"
         )
+
+
+def _gather_diagonal(A: BCRSMatrix) -> np.ndarray:
+    nb = min(A.nb_rows, A.nb_cols)
+    out = np.zeros((nb, A.block_size, A.block_size))
+    rows = np.repeat(np.arange(A.nb_rows), np.diff(A.row_ptr))
+    hit = np.flatnonzero(A.col_ind == rows)
+    diag_rows = rows[hit]
+    # ``hit`` ascends, so a duplicate follows its row's first entry.
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = diag_rows[1:] != diag_rows[:-1]
+    out[diag_rows[first]] = A.blocks[hit[first]]
+    out.flags.writeable = False
+    return out
+
+
+def _bsr_view(A: BCRSMatrix) -> sp.bsr_matrix:
+    b = A.block_size
+    view = sp.bsr_matrix((A.blocks, A.col_ind, A.row_ptr), shape=A.shape, blocksize=(b, b))
+    if not np.shares_memory(view.data, A.blocks):
+        # scipy copied ``data`` (e.g. on index dtype conversion) without
+        # reordering it, so re-point the view at the blocks.
+        view.data = A.blocks
+    return view

@@ -6,8 +6,8 @@ i.e. kernel work is specialized once per ``m`` and reused every call.
 :class:`KernelRegistry` captures the same shape of specialization for a
 *family* of interchangeable engines: it prepares, once per
 ``(block_size, m, engine)``, everything a product needs beyond the raw
-arrays — einsum contraction paths, cached ``scipy.sparse`` views,
-compiled kernels — and sends every product through one entry point,
+arrays — einsum contraction paths, compiled kernels — and sends every
+product through one entry point,
 :meth:`KernelRegistry.multiply`.  ``A @ X``, ``spmv``, ``gspmv`` and
 ``gspmv_into`` each call it once; it validates ``X``/``out``, resolves
 the engine, runs the watched dispatch below, fires the
@@ -30,8 +30,8 @@ Engines (see DESIGN.md §13):
     ablation engine: selectable, but not a fallback rung.
 
 ``"scipy"``
-    Delegates to ``scipy.sparse``'s C implementation via a cached BSR
-    view sharing ``A``'s block array.
+    Delegates to ``scipy.sparse``'s C implementation via the BSR view
+    sharing ``A``'s block array that ``A`` keeps (``A.scipy_view()``).
 
 ``"cgen"``
     Generated C kernels compiled per ``(block_size, m)`` with the
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import time
 import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Dict, Literal, Optional, Tuple
 
@@ -149,25 +148,18 @@ class _BlockedPlan:
 
 
 class KernelRegistry:
-    """Caches per-``m`` kernel plans and per-matrix views; dispatches
-    every product through one validated ``multiply``.
+    """Caches per-``m`` kernel plans; dispatches every product through
+    one validated ``multiply``.
 
-    One registry (usually the module default) is shared by all products;
-    its per-matrix caches are keyed by weak references so matrices can
-    be garbage collected.  ``default_engine`` is what ``engine=None``
-    resolves to — the CLI ``--engine`` flag and
-    :func:`set_default_engine` rebind it process-wide.
+    One registry (usually the module default) is shared by all products.
+    It keeps nothing per matrix: per-matrix views live on the matrix.
+    ``default_engine`` is what ``engine=None`` resolves to — the CLI
+    ``--engine`` flag and :func:`set_default_engine` rebind it.
     """
 
     def __init__(self, default_engine: str = "scipy") -> None:
         self.default_engine: str = default_engine
         self._plans: Dict[Tuple[int, int], _BlockedPlan] = {}
-        # scipy views are kept share-enforced (see scipy_view), so the
-        # cached entry also remembers which block array it was built
-        # from: replacing A.blocks wholesale invalidates it.
-        self._scipy_views: "weakref.WeakKeyDictionary[BCRSMatrix, Tuple[sp.bsr_matrix, int]]" = (
-            weakref.WeakKeyDictionary()
-        )
         self._selector = None  # built lazily (imports autotune)
         self._warned_fallback: set = set()
         #: The engine watchdog: fallback ladder, shadow verification,
@@ -265,34 +257,8 @@ class KernelRegistry:
         return plan
 
     def scipy_view(self, A: BCRSMatrix) -> sp.bsr_matrix:
-        """Return (building if needed) a scipy BSR view of ``A``.
-
-        The view is *guaranteed* to share ``A``'s block array: scipy's
-        constructor sometimes copies ``data`` (e.g. when index dtype
-        conversion kicks in), which used to let in-place block updates
-        silently serve stale products from this cache.  The constructor
-        result is therefore re-pointed at ``A.blocks`` whenever sharing
-        was lost, and the cache entry is keyed on the identity of the
-        block array so a wholesale ``blocks`` replacement rebuilds it.
-        """
-        entry = self._scipy_views.get(A)
-        if entry is not None and entry[1] == id(A.blocks):
-            return entry[0]
-        view = sp.bsr_matrix(
-            (A.blocks, A.col_ind, A.row_ptr),
-            shape=A.shape,
-            blocksize=(A.block_size, A.block_size),
-        )
-        if view.data is not A.blocks and not np.shares_memory(
-            view.data, A.blocks
-        ):
-            # scipy copied the blocks during construction; re-share so
-            # mutations of A.blocks are always visible to the view.
-            # (The constructor never reorders data relative to the
-            # passed (data, indices, indptr) triplet.)
-            view.data = A.blocks
-        self._scipy_views[A] = (view, id(A.blocks))
-        return view
+        """``A``'s scipy BSR view, kept on ``A`` (:meth:`BCRSMatrix.scipy_view`)."""
+        return A.scipy_view()
 
     # ------------------------------------------------------------------
     # multiply
@@ -447,7 +413,7 @@ class KernelRegistry:
         would corrupt the measurement).
         """
         if engine == "scipy":
-            Y = self.scipy_view(A) @ X
+            Y = A.scipy_view() @ X
             if target is not None:
                 np.copyto(target, Y)
                 Y = target

@@ -35,11 +35,9 @@ import numpy as np
 
 from repro.solvers.chol import CholeskySolver
 from repro.solvers.refine import iterative_refinement
-from repro.stokesian.dynamics import SDParameters
+from repro.stokesian.dynamics import SDParameters, _ConfigurationCache
 from repro.stokesian.integrators import apply_displacement
-from repro.stokesian.neighbors import VerletList
 from repro.stokesian.particles import ParticleSystem
-from repro.stokesian.resistance import build_resistance_matrix
 from repro.util.rng import RngLike, as_rng
 from repro.util.timer import Stopwatch, TimingRecord
 
@@ -76,16 +74,12 @@ class CholeskyStokesianDynamics:
         self.rng = as_rng(rng)
         self.step_index = 0
         self.history: List[CholeskyStepRecord] = []
-        self._verlet = VerletList()
+        self._configs = _ConfigurationCache()
 
     # ------------------------------------------------------------------
     def build_matrix(self, system: Optional[ParticleSystem] = None):
         sys_ = system if system is not None else self.system
-        return build_resistance_matrix(
-            sys_,
-            viscosity=self.params.viscosity,
-            cutoff_gap=self.params.cutoff_gap,
-        )
+        return self._configs.get(sys_, self.params)[1]
 
     def step(self, *, z: Optional[np.ndarray] = None) -> CholeskyStepRecord:
         """Advance one time step; exactly one Cholesky factorization."""
@@ -94,15 +88,9 @@ class CholeskyStokesianDynamics:
         if z is None:
             z = self.rng.standard_normal(self.system.dof)
 
-        gap = p.cutoff_gap
-        if gap is None:
-            gap = float(np.mean(self.system.radii))
         with sw.phase("Construct R"):
             # One pair list serves R_k and both displacements.
-            nl = self._verlet.pairs(self.system, gap)
-            R_k = build_resistance_matrix(
-                self.system, viscosity=p.viscosity, cutoff_gap=gap, neighbor_list=nl
-            )
+            nl, R_k = self._configs.get(self.system, p)
         with sw.phase("Factor"):
             chol = CholeskySolver(R_k)
         with sw.phase("Brownian (exact)"):
@@ -114,27 +102,15 @@ class CholeskyStokesianDynamics:
             self.system, 0.5 * p.dt * u_k, nl, safety=p.overlap_safety
         )
         with sw.phase("Construct R half"):
-            R_half = build_resistance_matrix(
-                half_system,
-                viscosity=p.viscosity,
-                cutoff_gap=gap,
-                neighbor_list=self._verlet.pairs(half_system, gap),
-            )
+            _, R_half = self._configs.get(half_system, p)
         with sw.phase("2nd solve (refinement)"):
             # The frozen factor of R_k approximates R_{k+1/2}^{-1}; the
             # first solve's solution is the initial guess.
-            refined = iterative_refinement(
-                R_half,
-                -f_b,
-                chol.solve,
-                x0=u_k,
-                tol=p.tol,
-            )
+            refined = iterative_refinement(R_half, -f_b, chol.solve, x0=u_k, tol=p.tol)
 
-        new_system, _ = apply_displacement(
+        self.system, _ = apply_displacement(
             self.system, p.dt * refined.x, nl, safety=p.overlap_safety
         )
-        self.system = new_system
         record = CholeskyStepRecord(
             step_index=self.step_index,
             refinement_iterations=refined.iterations,

@@ -34,7 +34,7 @@ from repro.solvers.precond import BlockJacobiPreconditioner
 from repro.sparse.bcrs import BCRSMatrix
 from repro.stokesian.brownian import BrownianForceGenerator
 from repro.stokesian.integrators import apply_displacement
-from repro.stokesian.neighbors import NeighborList, VerletList
+from repro.stokesian.neighbors import VerletList
 from repro.stokesian.particles import ParticleSystem
 from repro.stokesian.resistance import build_resistance_matrix, far_field_drag
 import repro.telemetry as _telemetry
@@ -129,6 +129,43 @@ class StepRecord:
     """Convergence record of the second (midpoint) solve."""
 
 
+class _ConfigurationCache:
+    """A driver's one configuration entry (the pair list from the skin
+    list, R assembled from it, and R's block Jacobi once a solve wants
+    it), rebuilt when its key changes: what R depends on, the system
+    object, the cutoff and the viscosity.  A chunk's step 0 reuses its
+    R_0.  The entry equals a fresh build: a cache, not driver state."""
+
+    def __init__(self) -> None:
+        self.verlet = VerletList()
+        self.key: Optional[tuple] = None
+        self.R: Optional[BCRSMatrix] = None
+
+    def get(self, system: ParticleSystem, params: SDParameters):
+        """``(pairs, R)`` of ``system`` under ``params``."""
+        gap = params.cutoff_gap
+        if gap is None:
+            gap = float(np.mean(system.radii))
+        key = (system, gap, params.viscosity)
+        if key != self.key:
+            self.pairs = self.verlet.pairs(system, gap)
+            self.R = build_resistance_matrix(
+                system, viscosity=params.viscosity, cutoff_gap=gap, neighbor_list=self.pairs
+            )
+            self.block_jacobi: Optional[BlockJacobiPreconditioner] = None
+            self.key = key
+        return self.pairs, self.R
+
+    def preconditioner(self, R: BCRSMatrix) -> BlockJacobiPreconditioner:
+        """The entry's block Jacobi for the entry's R; a fresh one for
+        any other matrix (a recorded replay solves many)."""
+        if R is not self.R:
+            return BlockJacobiPreconditioner(R)
+        if self.block_jacobi is None:
+            self.block_jacobi = BlockJacobiPreconditioner(R)
+        return self.block_jacobi
+
+
 class StokesianDynamics:
     """Algorithm 1 driver; also the component toolbox for Algorithm 2.
 
@@ -177,8 +214,7 @@ class StokesianDynamics:
         acceptance controller's job."""
         self._cached_bounds: Optional[tuple[float, float]] = None
         self._bounds_age = 0
-        self._last_pairs: Optional[tuple[ParticleSystem, float, NeighborList]] = None
-        self._verlet = VerletList()
+        self._configs = _ConfigurationCache()
         # Auxiliary stream for Lanczos starting vectors, split off so
         # spectrum estimation never desynchronizes the physical noise
         # sequence between algorithm variants.
@@ -190,31 +226,9 @@ class StokesianDynamics:
     # components (shared with the MRHS driver)
     # ------------------------------------------------------------------
     def build_matrix(self, system: Optional[ParticleSystem] = None) -> BCRSMatrix:
-        """Step 1: assemble ``R = muF*I + Rlub`` for a configuration."""
+        """Step 1: ``R = muF*I + Rlub``, assembled once per configuration."""
         sys_ = system if system is not None else self.system
-        return build_resistance_matrix(
-            sys_,
-            viscosity=self.params.viscosity,
-            cutoff_gap=self.params.cutoff_gap,
-            neighbor_list=self._pairs_of(sys_),
-        )
-
-    def _pairs_of(self, system: ParticleSystem) -> NeighborList:
-        """The interacting pairs of ``system``, filtered once per
-        configuration from the driver's skin list.
-
-        :meth:`build_matrix` keeps its one-argument signature (callers
-        wrap it), so :meth:`step` takes R_k's pair list back from here
-        to move the particles instead of filtering again.  The skin list
-        is a cache equal to a fresh search, so it is not driver state."""
-        gap = self.params.cutoff_gap
-        if gap is None:
-            gap = float(np.mean(system.radii))
-        last = self._last_pairs
-        if last is None or last[0] is not system or last[1] != gap:
-            nl = self._verlet.pairs(system, gap)
-            last = self._last_pairs = (system, gap, nl)
-        return last[2]
+        return self._configs.get(sys_, self.params)[1]
 
     def spectrum_bounds(self, R: BCRSMatrix) -> tuple[float, float]:
         """Cached spectrum enclosure of ``R`` (as :meth:`build_matrix`
@@ -259,8 +273,9 @@ class StokesianDynamics:
             rng=self.rng,
         )
 
-    def make_preconditioner(self, R: BCRSMatrix):
-        return BlockJacobiPreconditioner(R) if self.params.precondition else None
+    def preconditioner(self, R: BCRSMatrix) -> Optional[BlockJacobiPreconditioner]:
+        """R's block Jacobi, the entry's for its R, if ``params.precondition``."""
+        return self._configs.preconditioner(R) if self.params.precondition else None
 
     def solve(
         self, R: BCRSMatrix, rhs: np.ndarray, x0: Optional[np.ndarray] = None
@@ -269,7 +284,7 @@ class StokesianDynamics:
         as ``params.precondition`` says."""
         return conjugate_gradient(
             R, rhs, x0=x0, tol=self.params.tol, max_iter=self.params.max_iter,
-            preconditioner=self.make_preconditioner(R),
+            preconditioner=self.preconditioner(R),
         )
 
     def draw_noise(self, m: int = 1) -> np.ndarray:
@@ -342,7 +357,7 @@ class StokesianDynamics:
                 if norm > 0:
                     guess_error = float(np.linalg.norm(res1.x - u_guess)) / norm
 
-            nl = self._pairs_of(self.system)
+            nl, _ = self._configs.get(self.system, p)
             half_system, mid_scale = apply_displacement(
                 self.system, 0.5 * p.dt * res1.x, nl, safety=p.overlap_safety
             )

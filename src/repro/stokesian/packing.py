@@ -26,6 +26,12 @@ from repro.util.rng import RngLike, as_rng
 
 __all__ = ["box_edge_for_fraction", "random_configuration", "relax_overlaps"]
 
+# Placements :func:`random_configuration` tries.  Large spheres in a
+# small box can jam one placement (n=9, phi=0.5 with three of the
+# largest radii does); a fresh uniform one from the same generator then
+# relaxes.  Each is drawn only after the one before failed.
+_PLACEMENTS = 4
+
 
 def box_edge_for_fraction(radii: np.ndarray, volume_fraction: float) -> float:
     """Cubic box edge that puts the given spheres at ``volume_fraction``."""
@@ -125,7 +131,7 @@ def random_configuration(
     rng:
         Seed or generator for placement (and radii if drawn).
     max_sweeps:
-        Relaxation sweep budget.
+        Relaxation sweep budget of each placement.
     clearance:
         Overlaps are relaxed with radii inflated by ``1 + clearance``,
         so the returned configuration has every surface gap at least
@@ -150,24 +156,29 @@ def random_configuration(
             "volume fraction too low for this n: the box cannot hold the "
             "largest sphere; increase n or volume_fraction"
         )
-    # Initial placement biased toward a jittered lattice at high density
-    # (pure uniform placement at phi=0.5 relaxes slowly).
-    if volume_fraction >= 0.35:
-        per_side = int(np.ceil(n ** (1.0 / 3.0)))
-        grid = (np.arange(per_side) + 0.5) / per_side * edge
-        lattice = np.stack(
-            np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1
-        ).reshape(-1, 3)[:n]
-        jitter = gen.uniform(-0.25, 0.25, size=(n, 3)) * edge / per_side
-        positions = lattice + jitter
-    else:
-        positions = gen.uniform(0.0, edge, size=(n, 3))
     if clearance is None:
         clearance = default_clearance(volume_fraction)
     if not 0 <= clearance < 0.2:
         raise ValueError("clearance must be in [0, 0.2)")
-    inflated = ParticleSystem(
-        positions=positions, radii=radii * (1.0 + clearance), box=box
-    )
-    relaxed = relax_overlaps(inflated, max_sweeps=max_sweeps)
-    return ParticleSystem(positions=relaxed.positions, radii=radii, box=box)
+    for attempt in range(_PLACEMENTS):
+        if attempt == 0 and volume_fraction >= 0.35:
+            # Initial placement biased toward a jittered lattice at high
+            # density (pure uniform placement at phi=0.5 relaxes slowly).
+            per_side = int(np.ceil(n ** (1.0 / 3.0)))
+            grid = (np.arange(per_side) + 0.5) / per_side * edge
+            lattice = np.stack(
+                np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1
+            ).reshape(-1, 3)[:n]
+            jitter = gen.uniform(-0.25, 0.25, size=(n, 3)) * edge / per_side
+            positions = lattice + jitter
+        else:
+            positions = gen.uniform(0.0, edge, size=(n, 3))
+        inflated = ParticleSystem(
+            positions=positions, radii=radii * (1.0 + clearance), box=box
+        )
+        try:
+            relaxed = relax_overlaps(inflated, max_sweeps=max_sweeps)
+            return ParticleSystem(positions=relaxed.positions, radii=radii, box=box)
+        except RuntimeError:
+            if attempt == _PLACEMENTS - 1:
+                raise

@@ -24,6 +24,8 @@ Propagation rules (DESIGN.md §16):
 
 from __future__ import annotations
 
+import itertools
+import secrets
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator
 
@@ -42,7 +44,8 @@ CORRELATION_FIELDS = ("job_id", "tenant", "run_id", "chunk", "step")
 #: hot path; treat as read-only outside this module.
 _context: Dict[str, Any] = {}
 
-_run_counter = 0
+_run_ids = itertools.count(1)
+_process = secrets.token_hex(4)
 
 
 def correlation() -> Dict[str, Any]:
@@ -78,7 +81,7 @@ def scope(**ids: Any) -> Iterator[Dict[str, Any]]:
 
 
 def next_run_id(prefix: str = "run") -> str:
-    """A fresh process-unique run id (``run-1``, ``run-2``, …)."""
-    global _run_counter
-    _run_counter += 1
-    return f"{prefix}-{_run_counter}"
+    """A fresh run id, ``<prefix>-<process token>-<n>``.  The random
+    token differs between processes, so a resumed run never reuses
+    the id of the run it continues."""
+    return f"{prefix}-{_process}-{next(_run_ids)}"

@@ -20,7 +20,9 @@ attribute lookup and one no-op call per span site.
 
 from __future__ import annotations
 
+import itertools
 import json
+import secrets
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -256,7 +258,10 @@ class Tracer:
         self.clock = clock
         self._stack: List[Span] = []
         self._buffer: List[SpanEvent] = []
-        self._next_id = 0
+        # Ids count up from a random namespace (the high 31 bits), so
+        # the processes that append to one trace (a killed run and its
+        # resume) never share a span id.
+        self._ids = itertools.count(secrets.randbits(31) << 32)
         self.events_emitted = 0
         self.events_dropped = 0
 
@@ -277,11 +282,9 @@ class Tracer:
         The ambient correlation ids (job/run/chunk/step, when a scope
         is active) are stamped under the span's attrs — explicit attrs
         win on a key clash."""
-        span_id = self._next_id
-        self._next_id += 1
         parent = self._stack[-1].span_id if self._stack else None
         merged = {**_corr, **attrs} if _corr else dict(attrs)
-        span = Span(self, name, span_id, parent, self.clock(), merged)
+        span = Span(self, name, next(self._ids), parent, self.clock(), merged)
         self._stack.append(span)
         return span
 
@@ -345,12 +348,10 @@ class Tracer:
         """Emit a completed span with an explicit parent — the form the
         hub's aggregated kernel events use, where the parent phase may
         already have closed by the time the aggregate is flushed."""
-        span_id = self._next_id
-        self._next_id += 1
         self._buffer.append(
             SpanEvent(
                 name=name,
-                span_id=span_id,
+                span_id=next(self._ids),
                 parent_id=parent_id,
                 start=start,
                 duration=duration,

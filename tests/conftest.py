@@ -1,5 +1,5 @@
 """Shared fixtures: small random BCRS matrices and particle systems,
-and a spy on checkpoint writes."""
+a spy on checkpoint writes, and a count of the drivers' R assemblies."""
 
 import numpy as np
 import pytest
@@ -79,3 +79,17 @@ def checkpoint_saves(monkeypatch):
 
     monkeypatch.setattr(CheckpointManager, "save", spy)
     return steps
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Every R the Stokesian drivers assemble, in order."""
+    import repro.stokesian.dynamics as dynamics
+
+    built = []
+    build = dynamics.build_resistance_matrix
+    monkeypatch.setattr(
+        dynamics, "build_resistance_matrix",
+        lambda *a, **k: built.append(build(*a, **k)) or built[-1],
+    )
+    return built

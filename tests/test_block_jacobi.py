@@ -248,7 +248,9 @@ class TestDriversApplyTheParameter:
         assert len(builds) == 2 * per_step
 
     @pytest.mark.parametrize("precondition", [False, True])
-    def test_mrhs_chunk_builds_one_for_the_block_solve(self, builds, precondition):
+    def test_mrhs_chunk_builds_one_for_the_block_solve(
+        self, builds, assemblies, precondition
+    ):
         m = 3
         driver = MrhsStokesianDynamics(
             _system(), SDParameters(precondition=precondition),
@@ -266,9 +268,18 @@ class TestDriversApplyTheParameter:
             preconditioner=pre,
         )
         np.testing.assert_array_equal(block.X, want.X)
+        # A chunk has 2m configurations (R_0, R_half_0, R_1, ...,
+        # R_half_{m-1}); R_0 serves the block solve and step 0 alike, so
+        # each is assembled once and preconditioned once.
+        driver = MrhsStokesianDynamics(
+            _system(), SDParameters(precondition=precondition),
+            MrhsParameters(m=m), rng=4,
+        )
         builds.clear()
+        assemblies.clear()
         driver.run(1)
-        assert len(builds) == (1 + 2 * m) * int(precondition)
+        assert len(assemblies) == 2 * m
+        assert len(builds) == 2 * m * int(precondition)
 
 
 class TestResume:

@@ -173,10 +173,14 @@ class TestAccounting:
 
 class TestSkinListTrajectory:
     def test_byte_identical_to_fresh_search_each_configuration(self, monkeypatch):
-        """Three MRHS chunks (m=8) and 24 original steps at n=1000,
-        phi=0.3 end where the same runs end when every configuration's
-        pairs come from a fresh search."""
-        from repro.stokesian.neighbors import neighbor_pairs
+        """Three MRHS chunks (m=8), two AutoMrhs chunks (m=4) and 24
+        original steps at n=1000, phi=0.3 end where the same runs end
+        when every configuration's pairs come from a fresh search, and
+        when the configuration cache is bypassed, every build fresh."""
+        from repro.core.auto import AutoMrhsStokesianDynamics
+        from repro.core.schedule import FixedM
+        from repro.stokesian.dynamics import _ConfigurationCache
+        from repro.stokesian.neighbors import VerletList, neighbor_pairs
 
         start = random_configuration(1000, 0.3, rng=1)
 
@@ -185,22 +189,35 @@ class TestSkinListTrajectory:
                 start, SDParameters(), MrhsParameters(m=8), rng=2
             )
             mrhs.run(3)
+            auto = AutoMrhsStokesianDynamics(
+                start, SDParameters(), policy=FixedM(4), rng=2
+            )
+            auto.run(2)
             orig = StokesianDynamics(start, SDParameters(), rng=2)
             orig.run(24)
-            steps = [s for c in mrhs.chunks for s in c.steps] + orig.history
-            iters = [(s.iterations_first, s.iterations_second) for s in steps]
-            return mrhs.system.positions, orig.system.positions, iters
+            chunks = mrhs.chunks + auto.chunks
+            steps = [s for c in chunks for s in c.steps] + orig.history
+            iters = [c.block_iterations for c in chunks] + [
+                (s.iterations_first, s.iterations_second) for s in steps
+            ]
+            ends = [d.system.positions.tobytes() for d in (mrhs, auto, orig)]
+            return ends, iters
 
-        skin = run()
+        cached = run()
         with monkeypatch.context() as m:
             m.setattr(
-                StokesianDynamics,
-                "_pairs_of",
-                lambda self, system: neighbor_pairs(
-                    system, max_gap=float(np.mean(system.radii))
-                ),
+                VerletList, "pairs",
+                lambda self, system, max_gap: neighbor_pairs(system, max_gap=max_gap),
             )
-            fresh = run()
-        assert skin[0].tobytes() == fresh[0].tobytes()
-        assert skin[1].tobytes() == fresh[1].tobytes()
-        assert skin[2] == fresh[2]
+            fresh_search = run()
+        get = _ConfigurationCache.get
+
+        def bypassed(self, system, params):
+            self.key = None
+            return get(self, system, params)
+
+        with monkeypatch.context() as m:
+            m.setattr(_ConfigurationCache, "get", bypassed)
+            every_build_fresh = run()
+        assert fresh_search == cached
+        assert every_build_fresh == cached

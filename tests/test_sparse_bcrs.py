@@ -307,6 +307,16 @@ class TestQueries:
         D = A.diagonal_blocks()
         np.testing.assert_allclose(D[0], np.zeros((3, 3)))
 
+    def test_derived_data_follows_the_block_array(self):
+        A = tiny_matrix()
+        D = A.diagonal_blocks()
+        assert A.diagonal_blocks() is D and not D.flags.writeable
+        view = A.scipy_view()
+        object.__setattr__(A, "blocks", 2.0 * A.blocks)
+        D2 = A.diagonal_blocks()
+        assert D2 is not D and A.scipy_view() is not view
+        np.testing.assert_array_equal(D2, 2.0 * D)
+
 
 def _diagonal_blocks_loop(A: BCRSMatrix) -> np.ndarray:
     """Row-by-row reference for :meth:`BCRSMatrix.diagonal_blocks`."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import repro.stokesian.neighbors as neighbors
+import repro.stokesian.packing as packing
 from repro.stokesian.neighbors import SKIN, VerletList, neighbor_pairs
 from repro.stokesian.packing import (
     box_edge_for_fraction,
@@ -114,6 +115,19 @@ class TestRandomConfiguration:
         a = random_configuration(15, 0.2, rng=7)
         b = random_configuration(15, 0.2, rng=7)
         np.testing.assert_allclose(a.positions, b.positions)
+
+    def test_jammed_placement_is_replaced(self, monkeypatch):
+        # Three of the largest radii in a 9-sphere box at phi=0.5: the
+        # first placement jams, a later one relaxes.
+        with monkeypatch.context() as m:
+            m.setattr(packing, "_PLACEMENTS", 1)
+            with pytest.raises(RuntimeError, match="overlaps"):
+                random_configuration(9, 0.5, rng=7989417)
+        s = random_configuration(9, 0.5, rng=7989417)
+        assert s.volume_fraction == pytest.approx(0.5, rel=1e-6)
+        assert s.max_overlap() == 0.0
+        b = random_configuration(9, 0.5, rng=7989417)
+        assert b.positions.tobytes() == s.positions.tobytes()
 
 
 class TestNeighborPairs:

@@ -160,3 +160,29 @@ class TestKillAndResume:
             if k.startswith("gspmv.calls{")
         ]
         assert gspmv_calls and sum(gspmv_calls) > 0
+
+    def test_resumed_trace_has_unique_ids_and_nested_steps(self, tmp_path, capsys):
+        """Both processes append to one trace: no span id is used twice,
+        each stamps its own run id, and the resumed pending chunk gets a
+        ``resumed`` chunk span that its remaining steps nest under."""
+        from benchmarks.check_trace import trace_problems
+
+        ck, run = str(tmp_path / "ck"), tmp_path / "run"
+        assert main([
+            "simulate", "--n", "40", "--m", "4", "--chunks", "2",
+            "--die-after", "5", "--checkpoint-every", "1",
+            "--checkpoint-dir", ck, "--telemetry-dir", str(run),
+        ]) == 3
+        killed = len(read_trace(run / TRACE_FILENAME))
+        assert main(["resume", ck, "--steps", "8", "--telemetry-dir", str(run)]) == 0
+        capsys.readouterr()
+        spans = read_trace(run / TRACE_FILENAME)
+        assert trace_problems(spans) == []
+        first = {s.attrs["run_id"] for s in spans[:killed]}
+        second = {s.attrs["run_id"] for s in spans[killed:]}
+        assert len(first) == len(second) == 1 and first != second
+        (resumed,) = [s for s in spans if s.attrs.get("resumed")]
+        assert resumed.name == "chunk" and resumed.attrs["chunk"] == 1
+        late = [s for s in spans if s.name == "step" and s.attrs["step"] >= 5]
+        assert [s.attrs["step"] for s in late] == [5, 6, 7]
+        assert all(s.parent_id == resumed.span_id for s in late)
