@@ -5,12 +5,10 @@ DESIGN.md §14), in two halves:
 
 1. **Every campaign lands bit-identical.**  Seeded campaigns strike
    each engine fault site — ``engine.multiply`` (corrupted, scaled,
-   and NaN-poisoned products), ``engine.compile``, ``engine.load``,
-   and ``engine.autotune_cache`` — through the resilient runner on an
-   MRHS trajectory.  Each run must *complete* and its final positions
-   must be bit-identical to the appropriate clean reference: the
-   engine the fallback ladder lands on for the cgen campaigns, a rerun
-   sharing the retuned verdicts for the autotune campaign.
+   and NaN-poisoned products), ``engine.compile`` and ``engine.load``
+   — through the resilient runner on an MRHS trajectory.  Each run
+   must *complete* and its final positions must be bit-identical to a
+   clean run on the engine the fallback ladder lands on.
 2. **Shadow verification is nearly free.**  At the default cadence
    (every 64th call fully re-checked at the first and every 16th
    verification, sampled rows otherwise) the gspmv wall-clock on the
@@ -97,7 +95,7 @@ def _run(engine: str, plan=None, cadence: int = 0) -> np.ndarray:
 
 
 def run_campaigns() -> dict:
-    """All four engine fault sites, each campaign checked bit-exact."""
+    """All three engine fault sites, each campaign checked bit-exact."""
     landing = EngineWatch().next_rung("cgen", set(available_engines()))
     reference = _run(landing)
     watch = get_engine_watch()
@@ -146,32 +144,6 @@ def run_campaigns() -> dict:
             finally:
                 del os.environ["REPRO_CACHE_DIR"]
                 kernels_cgen._reset()
-
-    # Site 4: engine.autotune_cache — a torn cache read must retune,
-    # and a rerun sharing the in-memory verdicts must match bit-exact.
-    import repro.telemetry as _telemetry
-    from repro.telemetry import TelemetryHub
-
-    with tempfile.TemporaryDirectory() as scratch:
-        (Path(scratch) / "kernel_autotune.json").write_text(
-            '{"schema": 2, "entries": {'
-        )
-        get_default_registry()._selector = None
-        _telemetry.install(TelemetryHub(scratch))
-        try:
-            plan = FaultPlan(
-                specs=(FaultSpec(site="engine.autotune_cache"),)
-            )
-            faulted = _run("auto", plan=plan)
-            corrupt_events = watch.counts.get("autotune_corrupt", 0)
-            rerun = _run("auto")
-            completed += 1
-            if corrupt_events >= 1 and np.array_equal(faulted, rerun):
-                matched += 1
-            campaigns.append("autotune_cache")
-        finally:
-            _telemetry.uninstall()
-            get_default_registry()._selector = None
 
     watch.reset()
     return {

@@ -1,17 +1,17 @@
-"""Kernel backend tier: auto-selection beats scipy, model converges.
+"""Kernel backend tier: the generated kernel beats scipy, model converges.
 
-The acceptance bar of the backend-registry PR (ISSUE 6 / DESIGN.md
-§13), measured on the benchmark SD matrix (the mat2 analog of Table I):
+The acceptance bar of the kernel engines (DESIGN.md §13), measured on
+the benchmark SD matrix (the mat2 analog of Table I):
 
-1. **Auto-selection wins.**  The engine picked by the per-machine
-   micro-benchmark must beat the ``scipy`` engine wall-clock at
-   ``m >= 8`` (the regime the paper's MRHS algorithm runs in).
+1. **The generated kernel wins.**  ``cgen`` must beat the ``scipy``
+   engine wall-clock (best of :data:`REPEATS` timings each) at
+   ``m >= 8``, the regime the paper's MRHS algorithm runs in.
 2. **The roofline converges.**  With an :class:`EngineProfile`
    calibrated from the endpoints (smallest and largest ``m``), the
-   measured time of the *selected* engine must fall within the 25%
-   roofline threshold at every benchmarked ``m`` — the report
-   *validates* the selection instead of merely flagging the gap
-   between peak model and real kernel (the PR 4 limitation).
+   measured time of ``cgen`` must fall within the 25% roofline
+   threshold at every benchmarked ``m`` — the report *validates* the
+   engine instead of merely flagging the gap between peak model and
+   real kernel.
 
 The second check runs through the full production chain: telemetry hub
 recording engine-labelled gspmv spans -> trace on disk ->
@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import tempfile
 import time
+import timeit
 from pathlib import Path
 
 import numpy as np
 
 from repro.perfmodel import calibrate_profile, host_machine
 from repro.perfmodel.roofline import MatrixShape
-from repro.sparse import available_engines, get_default_registry
-from repro.sparse.autotune import AutoSelector
-from repro.sparse.gspmv import gspmv
+from repro.sparse import available_engines
+from repro.sparse.gspmv import gspmv, gspmv_into
 from repro.telemetry import TelemetryHub
 from repro.telemetry.report import RooflineReport
 
@@ -47,34 +47,44 @@ except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
     from _emit import emit_report, utc_now
 
 M_VALUES = (1, 2, 8, 16)
+#: The timed engines: the generated kernel and the baseline it must beat.
+ENGINES = ("scipy", "cgen")
+#: Timings per (engine, m); the minimum is kept (best of k).
+REPEATS = 5
 #: Calls per (m,) recorded through the telemetry hub for the roofline
 #: validation (means over this many calls, like a production run).
 VALIDATE_CALLS = 10
-#: Minimum auto-over-scipy speedup at m >= 8 to count as "beats".
+#: Minimum cgen-over-scipy speedup at m >= 8 to count as "beats".
 MIN_SPEEDUP = 1.05
-#: Roofline threshold the selected engine must converge within.
+#: Roofline threshold cgen must converge within.
 THRESHOLD = 0.25
 
 
+def best_time(A, X: np.ndarray, engine: str) -> float:
+    """Best-of-:data:`REPEATS` seconds per product on ``engine``."""
+    out = np.empty((A.n_rows, X.shape[1]))
+    timer = timeit.Timer(lambda: gspmv_into(A, X, out, engine=engine))
+    number, _ = timer.autorange()  # also warms: plans, compilation
+    return min(timer.repeat(repeat=REPEATS, number=number)) / number
+
+
 def collect() -> dict:
+    if "cgen" not in available_engines():
+        raise SystemExit("bench_kernels needs the cgen engine (a C compiler)")
     A = scaled_paper_matrix("mat2")
     machine = host_machine(quick=True)
     shape = MatrixShape.of(A)
-    registry = get_default_registry()
-    # A fresh memory-only selector: always re-tunes on this host, so
-    # the bench measures today's machine, not a cached verdict.
-    selector = AutoSelector(registry)
-
-    tunings = {m: selector.record(A, m) for m in M_VALUES}
-    selected = {m: r["engine"] for m, r in tunings.items()}
+    rng = np.random.default_rng(0)
+    timings = {}
+    for m in M_VALUES:
+        X = rng.standard_normal((A.n_cols, m))
+        timings[m] = {e: best_time(A, X, e) for e in ENGINES}
     speedup_vs_scipy = {
-        m: r["timings"]["scipy"] / r["timings"][r["engine"]]
-        for m, r in tunings.items()
+        m: t["scipy"] / t["cgen"] for m, t in timings.items()
     }
 
     # Roofline validation through the production chain: record
-    # engine-labelled spans for the auto-selected engine at each m.
-    rng = np.random.default_rng(0)
+    # cgen-labelled spans at each m.
     with tempfile.TemporaryDirectory() as run_dir:
         hub = TelemetryHub(run_dir)
         import repro.telemetry as _telemetry
@@ -83,36 +93,31 @@ def collect() -> dict:
         try:
             for m in M_VALUES:
                 X = rng.standard_normal((A.n_cols, m))
-                gspmv(A, X, engine=selected[m])  # warm (compile etc.)
+                gspmv(A, X, engine="cgen")  # warm (compile etc.)
                 for _ in range(VALIDATE_CALLS):
-                    gspmv(A, X, engine=selected[m])
+                    gspmv(A, X, engine="cgen")
         finally:
             hub.close()
             _telemetry.uninstall()
 
-        # Calibrate one profile per selected engine from the hub-measured
-        # endpoint means, then let the report *predict* the interior m.
+        # Calibrate cgen's profile from the hub-measured endpoint means,
+        # then let the report *predict* the interior m.
         peak = RooflineReport.from_run(run_dir, machine, threshold=THRESHOLD)
         means = {
-            (r.engine, r.m): r.measured_mean
+            r.m: r.measured_mean
             for r in peak.rows
-            if r.kind == "gspmv"
+            if r.kind == "gspmv" and r.engine == "cgen"
         }
-        profiles = {}
-        for engine in sorted(set(selected.values())):
-            ms = sorted(m for (e, m) in means if e == engine)
-            endpoints = {m: means[(engine, m)] for m in (ms[0], ms[-1])}
-            profiles[engine] = calibrate_profile(
-                engine, shape, machine, endpoints
-            )
+        endpoints = {m: means[m] for m in (M_VALUES[0], M_VALUES[-1])}
+        profile = calibrate_profile("cgen", shape, machine, endpoints)
         report = RooflineReport.from_run(
-            run_dir, machine, threshold=THRESHOLD, profiles=profiles
+            run_dir, machine, threshold=THRESHOLD, profiles={"cgen": profile}
         )
 
     rows = [
         r.as_dict()
         for r in report.rows
-        if r.kind == "gspmv" and r.engine == selected[r.m]
+        if r.kind == "gspmv" and r.engine == "cgen"
     ]
     return {
         "matrix": {
@@ -128,20 +133,15 @@ def collect() -> dict:
             "flop_rate": machine.flop_rate,
         },
         "engines_available": list(available_engines()),
-        "selected_engine": {str(m): e for m, e in selected.items()},
-        "timings_s": {
-            str(m): dict(sorted(r["timings"].items()))
-            for m, r in tunings.items()
-        },
+        "timings_s": {str(m): t for m, t in timings.items()},
         "speedup_vs_scipy": {
             str(m): s for m, s in speedup_vs_scipy.items()
         },
         "profiles": {
-            e: {
-                "bw_scale": p.bw_scale,
-                "flop_scale": p.flop_scale,
+            "cgen": {
+                "bw_scale": profile.bw_scale,
+                "flop_scale": profile.flop_scale,
             }
-            for e, p in profiles.items()
         },
         "roofline_rows": rows,
     }
@@ -159,8 +159,8 @@ def verdict(metrics: dict) -> dict:
         abs(r["deviation"]) <= THRESHOLD for r in rows
     )
     return {
-        "auto_beats_scipy_at_m8_plus": beats_scipy,
-        "selected_engine_within_threshold": converged,
+        "cgen_beats_scipy_at_m8_plus": beats_scipy,
+        "cgen_within_threshold": converged,
     }
 
 
@@ -175,6 +175,8 @@ def main() -> int:
         "kernels",
         config={
             "m_values": list(M_VALUES),
+            "engines": list(ENGINES),
+            "repeats": REPEATS,
             "validate_calls": VALIDATE_CALLS,
             "min_speedup": MIN_SPEEDUP,
             "threshold": THRESHOLD,
@@ -185,10 +187,9 @@ def main() -> int:
         out_paths=[Path("BENCH_kernels.json")],
     )
     for m in M_VALUES:
-        sel = metrics["selected_engine"][str(m)]
         print(
-            f"m={m:2d}: selected={sel:8s} "
-            f"speedup vs scipy {metrics['speedup_vs_scipy'][str(m)]:5.2f}x"
+            f"m={m:2d}: cgen speedup vs scipy "
+            f"{metrics['speedup_vs_scipy'][str(m)]:5.2f}x"
         )
     for r in metrics["roofline_rows"]:
         print(

@@ -4,9 +4,10 @@
 
 Reads ``<telemetry-dir>/trace.jsonl`` (with its rotated segments) and
 exits non-zero, naming the offenders, when two spans share an id, when
-a step span's parent is missing or is not a chunk span, or when a chunk
-span was closed as abandoned.  A trace that a killed run and its resume
-both appended to must pass too.
+a step span's parent is missing or is not a chunk span, when a step
+span under a chunk span carries no ``chunk`` correlation id, or when a
+chunk span was closed as abandoned.  A trace that a killed run and its
+resume both appended to must pass too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,13 @@ def trace_problems(spans: Sequence) -> List[str]:
     ]
     if orphans:
         problems.append(f"step spans outside a chunk span: {orphans}")
+    unstamped = [
+        s.attrs.get("step") for s in steps
+        if s.parent_id in by_id and by_id[s.parent_id].name == "chunk"
+        and "chunk" not in s.attrs
+    ]
+    if unstamped:
+        problems.append(f"step spans without a chunk id: {unstamped}")
     abandoned = [s.attrs for s in chunks if "abandoned" in s.attrs]
     if abandoned:
         problems.append(f"abandoned chunk spans: {abandoned}")

@@ -74,10 +74,10 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
-#: ``--engine`` vocabulary: the auto-selector plus every concrete
-#: kernel engine (kept in sync with ``repro.sparse.kernels.ENGINE_NAMES``
-#: by a test; not imported here so ``--help`` stays dependency-light).
-ENGINE_CHOICES = ("auto", "blocked", "tiled", "scipy", "cgen")
+#: ``--engine`` vocabulary: every kernel engine (kept in sync with
+#: ``repro.sparse.kernels.ENGINE_NAMES`` by a test; not imported here
+#: so ``--help`` stays dependency-light).
+ENGINE_CHOICES = ("blocked", "tiled", "scipy", "cgen")
 
 
 def _add_watch_arguments(sub: argparse.ArgumentParser) -> None:
@@ -103,8 +103,7 @@ def _add_engine_argument(sub: argparse.ArgumentParser) -> None:
         choices=ENGINE_CHOICES,
         default=None,
         help="kernel engine for all SPMV/GSPMV products (default: "
-        "registry default; 'auto' micro-benchmarks per machine and "
-        "caches the choice; unavailable compiled engines demote down "
+        "registry default; unavailable compiled engines demote down "
         "the fallback ladder)",
     )
     sub.add_argument(

@@ -44,8 +44,6 @@ site                        instrumented location
                             numbers, ``nan`` = poisoned kernel) or demotes it
                             (``raise``); context carries ``engine``, ``b``,
                             ``m``
-``engine.autotune_cache``   ``AutoSelector._load_disk`` — serves a torn
-                            verdict file (rejected and retuned)
 ==========================  ==================================================
 """
 
@@ -82,7 +80,6 @@ ENGINE_FAULT_SITES = (
     "engine.compile",
     "engine.load",
     "engine.multiply",
-    "engine.autotune_cache",
 )
 
 #: Registry of every injectable fault site: ``name -> (layer,
@@ -131,11 +128,6 @@ _FAULT_SITES: Dict[str, Tuple[str, str]] = {
         "engine",
         "KernelRegistry.multiply — mutates a finished product "
         "(corrupt/scale/nan) or demotes the engine (raise)",
-    ),
-    "engine.autotune_cache": (
-        "engine",
-        "AutoSelector._load_disk — serves a torn verdict file "
-        "(rejected and retuned)",
     ),
 }
 

@@ -283,11 +283,16 @@ class ResilientRunner:
                     # fired by block-solve multiplies carry a step index.
                     self._watch.current_step = self.step_index
                     _obs.annotate(step=self.step_index)
-                    if self._chunked and self.driver.pending is None:
-                        remaining = n_steps - report.steps_completed
-                        self._begin_chunk_resilient(
-                            min(int(self.driver.mrhs.m), remaining), report
-                        )
+                    if self._chunked:
+                        if self.driver.pending is None:
+                            remaining = n_steps - report.steps_completed
+                            self._begin_chunk_resilient(
+                                min(int(self.driver.mrhs.m), remaining), report
+                            )
+                        # Stamp the live chunk index so step and kernel
+                        # spans join back to it, also when a resumed or
+                        # sliced call starts inside a pending chunk.
+                        _obs.annotate(chunk=self.driver.pending.chunk_index)
                     self._attempt_step(report)
                     report.steps_completed += 1
                     self._after_healthy_step(report)
@@ -346,9 +351,6 @@ class ResilientRunner:
                     attempts = 0
                 continue
             pending.degradations.extend(degradations)
-            # Stamp the live chunk index into the correlation context so
-            # kernel spans and engine events join back to this chunk.
-            _obs.annotate(chunk=pending.chunk_index)
             for m_after in degradations:
                 report.degradations.append((pending.chunk_index, m_after))
                 logger.warning(

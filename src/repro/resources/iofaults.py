@@ -9,7 +9,7 @@ Three sites model the ways a filesystem says "no more":
 :func:`check_io_faults` fires before every durable write, with a
 label a drill can target through ``at={...}``: each
 :func:`repro.durable.publish` (``writer=`` ``atomic_savez``,
-``atomic_write_text``, ``exporter``, ``telemetry_hub``, ``autotune``,
+``atomic_write_text``, ``exporter``, ``telemetry_hub``,
 ``journal_compact``), the job-journal append (``writer="journal"``,
 ``seq``) and its retry (``"journal_retry"``), the rotating JSONL
 streams (``stream=<name>``) and flight bundles (``"flight_dump"``).
@@ -45,7 +45,7 @@ for _site, _raises in (
         _site,
         "resources",
         "every durable writer (publishes: atomic_savez, atomic_write_text, "
-        "exporter, telemetry_hub, autotune, journal_compact; journal "
+        "exporter, telemetry_hub, journal_compact; journal "
         f"append/retry; JSONL streams; flight_dump) — raises "
         f"OSError({_raises})",
     )

@@ -37,7 +37,6 @@ from repro.sparse.kernels import (
     get_default_registry,
     set_default_engine,
 )
-from repro.sparse.autotune import AutoSelector
 from repro.sparse.enginewatch import (
     DEFAULT_VERIFY_CADENCE,
     FALLBACK_LADDER,
@@ -70,7 +69,6 @@ __all__ = [
     "ENGINE_NAMES",
     "available_engines",
     "set_default_engine",
-    "AutoSelector",
     "EngineWatch",
     "EngineEvent",
     "EngineFailure",

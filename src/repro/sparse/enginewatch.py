@@ -1,10 +1,10 @@
 """Self-healing runtime for the GSPMV engine tier (the engine watchdog).
 
 The hot path depends on per-machine compiled artifacts — generated C
-objects and an autotune verdict cache.  Those are exactly the
-components that fail in long unattended campaigns: missing or broken
-compilers, truncated cache entries, miscompiled kernels that return
-*wrong numbers* rather than raising.
+objects.  Those are exactly the components that fail in long
+unattended campaigns: missing or broken compilers, truncated cache
+entries, miscompiled kernels that return *wrong numbers* rather than
+raising.
 The paper's premise is that GSPMV dominates runtime; this module's
 premise is that a wrong-answer kernel is worse than a slow one.
 
@@ -149,11 +149,11 @@ def _bucket(x: float) -> int:
 def shape_class(A: "BCRSMatrix", m: int) -> str:
     """The quarantine key classing ``(matrix, m)``.
 
-    Same coarse bucketing as the autotune shape key (engine behaviour
-    flips with block size, m, and cache residency — not with a 10%
-    size change) but without the CPU token: quarantine is a property of
-    this process/checkpoint lineage, and staying conservative across a
-    host change is the safe direction.
+    Bucketed coarsely (engine behaviour flips with block size, m, and
+    cache residency — not with a 10% size change) and without a CPU
+    token: quarantine is a property of this process/checkpoint lineage,
+    and staying conservative across a host change is the safe
+    direction.
     """
     return (
         f"b{A.block_size}:m{m}"
@@ -193,8 +193,7 @@ class EngineEvent:
     ``verify_fail`` (shadow check miscompared), ``quarantine`` (an
     engine distrusted for a shape class), ``ladder_exhausted``,
     ``compile_retry``, ``cache_recover`` (bad cached object deleted and
-    rebuilt), ``autotune_corrupt`` / ``autotune_stale`` /
-    ``autotune_skip`` (verdict-cache hygiene).
+    rebuilt).
     """
 
     kind: str

@@ -40,10 +40,8 @@ Engines (see DESIGN.md §13):
     (:mod:`repro.sparse.kernels_cgen`).  Unavailable environments
     demote to ``scipy`` with a one-time warning.
 
-``"auto"``
-    Micro-benchmarks the available engines for this machine and matrix
-    shape at first use, caches the choice to disk, and dispatches to
-    the winner (:mod:`repro.sparse.autotune`).
+A product runs on the engine its caller names, or on the registry's
+:attr:`KernelRegistry.default_engine` when it names none.
 
 Every product runs under the engine watchdog
 (:mod:`repro.sparse.enginewatch`, DESIGN.md §14): engine-tier failures
@@ -61,7 +59,6 @@ from dataclasses import dataclass
 from typing import Dict, Literal, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 import repro.telemetry as _telemetry
 from repro.resilience.faults import active_injector
@@ -83,9 +80,9 @@ __all__ = [
     "set_default_engine",
 ]
 
-Engine = Literal["auto", "blocked", "tiled", "scipy", "cgen"]
+Engine = Literal["blocked", "tiled", "scipy", "cgen"]
 
-#: Every concrete engine name (excludes the ``"auto"`` selector).
+#: Every engine name, in registry order.
 ENGINE_NAMES: Tuple[str, ...] = ("blocked", "tiled", "scipy", "cgen")
 
 #: Temporary-buffer budget of the "tiled" engine.  The per-tile
@@ -103,6 +100,14 @@ def available_engines() -> Tuple[str, ...]:
     """
     cgen = kernels_cgen.available()
     return tuple(e for e in ENGINE_NAMES if e != "cgen" or cgen)
+
+
+def _check_engine(engine: str) -> None:
+    """Reject a name that is not an engine, listing the valid ones."""
+    if engine not in ENGINE_NAMES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {ENGINE_NAMES}"
+        )
 
 
 def _segment_sum(
@@ -160,7 +165,6 @@ class KernelRegistry:
     def __init__(self, default_engine: str = "scipy") -> None:
         self.default_engine: str = default_engine
         self._plans: Dict[Tuple[int, int], _BlockedPlan] = {}
-        self._selector = None  # built lazily (imports autotune)
         self._warned_fallback: set = set()
         #: The engine watchdog: fallback ladder, shadow verification,
         #: quarantine (see :mod:`repro.sparse.enginewatch`).
@@ -169,36 +173,20 @@ class KernelRegistry:
     # ------------------------------------------------------------------
     # engine resolution
     # ------------------------------------------------------------------
-    @property
-    def selector(self):
-        """The lazily built :class:`~repro.sparse.autotune.AutoSelector`."""
-        if self._selector is None:
-            from repro.sparse.autotune import AutoSelector
-
-            self._selector = AutoSelector(self)
-        return self._selector
-
     def resolve_engine(
         self, A: BCRSMatrix, m: int, engine: Optional[str] = None
     ) -> str:
         """Map a requested engine (or ``None``) to a concrete, available
         engine name.
 
-        ``None`` resolves to :attr:`default_engine`; ``"auto"`` runs the
-        per-machine auto-selection; ``cgen`` without a C toolchain
-        demotes down the fallback ladder with a one-time warning and a
-        recorded ``fallback`` event, so scripts stay portable across
-        environments.  An engine quarantined for this shape class is
+        ``None`` resolves to :attr:`default_engine`; ``cgen`` without a
+        C toolchain demotes down the fallback ladder with a one-time
+        warning and a recorded ``fallback`` event, so scripts stay
+        portable across environments.  An engine quarantined for this shape class is
         routed around the same way.
         """
         engine = engine or self.default_engine
-        if engine == "auto":
-            engine = self.selector.select(A, m)
-        elif engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{('auto',) + ENGINE_NAMES}"
-            )
+        _check_engine(engine)
         if engine == "cgen" and not kernels_cgen.available():
             engine = self._fallback(
                 engine, kernels_cgen.unavailable_reason() or "no C toolchain"
@@ -239,7 +227,7 @@ class KernelRegistry:
         return self.watch.next_rung(engine, set(available_engines()), shape)
 
     # ------------------------------------------------------------------
-    # cached plans and views
+    # cached plans
     # ------------------------------------------------------------------
     def blocked_plan(self, block_size: int, m: int) -> _BlockedPlan:
         """Return (building if needed) the blocked-engine plan for (b, m)."""
@@ -255,10 +243,6 @@ class KernelRegistry:
             plan = _BlockedPlan(einsum_path=path, m=m)
             self._plans[key] = plan
         return plan
-
-    def scipy_view(self, A: BCRSMatrix) -> sp.bsr_matrix:
-        """``A``'s scipy BSR view, kept on ``A`` (:meth:`BCRSMatrix.scipy_view`)."""
-        return A.scipy_view()
 
     # ------------------------------------------------------------------
     # multiply
@@ -302,8 +286,8 @@ class KernelRegistry:
             may alias ``X``: aliasing is detected and served through a
             temporary.
         engine:
-            An :data:`Engine` name, ``"auto"``, or ``None`` for the
-            registry default; see the module docstring.
+            An :data:`Engine` name, or ``None`` for the registry
+            default; see the module docstring.
         """
         X = np.asarray(X, dtype=np.float64)
         squeeze = X.ndim == 1
@@ -405,13 +389,7 @@ class KernelRegistry:
         target: Optional[np.ndarray],
         engine: str,
     ) -> np.ndarray:
-        """Raw single-engine dispatch: no ladder, no verification.
-
-        The autotuner times candidates through this entry point so a
-        failing engine raises :class:`EngineFailure` to the timing loop
-        instead of being silently served by a fallback rung (which
-        would corrupt the measurement).
-        """
+        """Raw single-engine dispatch: no ladder, no verification."""
         if engine == "scipy":
             Y = A.scipy_view() @ X
             if target is not None:
@@ -549,16 +527,12 @@ def get_default_registry() -> KernelRegistry:
 def set_default_engine(engine: str) -> str:
     """Rebind the default engine of the shared registry (CLI ``--engine``).
 
-    Returns the previous default.  ``"auto"`` and every concrete engine
-    name are accepted; availability is still checked per call, so
-    setting ``"cgen"`` without a C toolchain degrades down the fallback
-    ladder with a warning rather than failing.
+    Returns the previous default.  Every :data:`ENGINE_NAMES` entry is
+    accepted; availability is still checked per call, so setting
+    ``"cgen"`` without a C toolchain degrades down the fallback ladder
+    with a warning rather than failing.
     """
-    if engine != "auto" and engine not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{('auto',) + ENGINE_NAMES}"
-        )
+    _check_engine(engine)
     previous = _DEFAULT.default_engine
     _DEFAULT.default_engine = engine
     return previous

@@ -182,7 +182,7 @@ class TelemetryHub:
             mx = self.metrics
             # Label the counter family by engine so per-engine totals
             # survive into metrics.json (the roofline report and the
-            # auto-selection validation both group by it).
+            # engine validation both group by it).
             labels = {"m": m, "engine": backend} if backend else {"m": m}
             cached = (
                 mx.counter(f"{kind}.calls", **labels),

@@ -156,9 +156,9 @@ class RooflineReport:
         ``profiles`` optionally maps engine names to calibrated
         :class:`~repro.perfmodel.engines.EngineProfile` objects; rows
         whose engine has one are predicted with the engine-scaled model
-        instead of the machine-peak bound, which is how the
-        auto-selection is validated (measured must fall *within* the
-        threshold, not merely get flagged).
+        instead of the machine-peak bound, which is how an engine is
+        validated (measured must fall *within* the threshold, not
+        merely get flagged).
         """
         groups: Dict[Tuple[str, str, int, int, int, int], List[float]] = {}
         for ev in events:

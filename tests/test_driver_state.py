@@ -205,6 +205,21 @@ class TestRollbackKeepsTheLiveChunk:
         assert all(e.parent_id == chunk0.span_id for e in steps)
 
 
+class TestSlicedRunStampsTheChunk:
+    def test_steps_inside_a_pending_chunk_carry_its_id(self, tmp_path):
+        """A call that starts inside a pending chunk (a sliced or
+        resumed run) still stamps that chunk on its step spans."""
+        hub = TelemetryHub(tmp_path / "run")
+        runner = ResilientRunner(_mrhs(n=40, telemetry=hub))
+        runner.run_steps(8, stop_after=3)
+        runner.run_steps(5)
+        hub.close()
+        spans = read_trace(tmp_path / "run" / TRACE_FILENAME)
+        steps = [e for e in spans if e.name == "step"]
+        assert [e.attrs["step"] for e in steps] == list(range(8))
+        assert [e.attrs.get("chunk") for e in steps] == [0] * M + [1] * M
+
+
 class TestChunkRewindTracksTheAcceptedTimeline:
     @staticmethod
     def _totals(hub):

@@ -2,10 +2,9 @@
 
 Unit coverage of :mod:`repro.sparse.enginewatch` plus the surgical
 integration points: the registry's watched dispatch, the hardened cgen
-compile/load pipeline, the autotune verdict-cache hygiene, the
-perfmodel quarantine filter, and the report table.  End-to-end fault
-campaigns (bit-identical trajectories through injected kernel faults)
-live in ``test_engine_campaigns.py``.
+compile/load pipeline, the perfmodel quarantine filter, and the
+report table.  End-to-end fault campaigns (bit-identical trajectories
+through injected kernel faults) live in ``test_engine_campaigns.py``.
 """
 
 import json
@@ -21,13 +20,6 @@ from repro.perfmodel import EngineProfile
 from repro.perfmodel.engines import trusted_profiles
 from repro.resilience.faults import ENGINE_FAULT_SITES, FaultSpec, armed
 from repro.sparse import available_engines, bcrs_to_scipy
-from repro.sparse.autotune import (
-    CACHE_FILENAME,
-    SCHEMA_VERSION,
-    AutoSelector,
-    _entry_checksum,
-    host_fingerprint,
-)
 from repro.sparse.enginewatch import (
     DEFAULT_VERIFY_CADENCE,
     FALLBACK_LADDER,
@@ -409,134 +401,6 @@ class TestCgenPipeline:
 
 
 # ----------------------------------------------------------------------
-# autotune verdict-cache hygiene
-# ----------------------------------------------------------------------
-class TestAutotuneHardening:
-    def _tuned_selector(self, A, tmp_path, reg=None):
-        reg = reg or KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        sel.select(A, 4)
-        return reg, sel
-
-    def test_disk_format_is_versioned_and_checksummed(self, A, tmp_path):
-        self._tuned_selector(A, tmp_path)
-        data = json.loads(
-            (tmp_path / CACHE_FILENAME).read_text(encoding="utf-8")
-        )
-        assert data["schema"] == SCHEMA_VERSION
-        for record in data["entries"].values():
-            assert record["checksum"] == _entry_checksum(record)
-            assert record["fingerprint"] == host_fingerprint()
-
-    def test_corrupt_json_is_rejected_and_retuned(self, A, tmp_path):
-        path = tmp_path / CACHE_FILENAME
-        path.write_text("{ torn", encoding="utf-8")
-        reg = KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        engine = sel.select(A, 4)
-        assert engine in AVAILABLE
-        assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
-        # Rebuilt file carries the current schema.
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["schema"] == SCHEMA_VERSION
-
-    def test_v1_schema_is_rejected(self, A, tmp_path):
-        (tmp_path / CACHE_FILENAME).write_text(
-            json.dumps({"somekey": {"engine": "tiled"}}), encoding="utf-8"
-        )
-        reg = KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        assert sel.select(A, 4) in AVAILABLE
-        assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
-
-    def test_v2_verdict_naming_removed_engine_is_retuned(
-        self, A, X, tmp_path
-    ):
-        """A valid, checksummed v2 file whose winner is the removed
-        ``dedup`` engine is discarded, and ``auto`` still resolves."""
-        reg = KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        reg._selector = sel
-        key = sel.shape_key(A, X.shape[1])
-        record = {
-            "engine": "dedup",
-            "timings": {"dedup": 1e-6, "scipy": 1e-3},
-            "key": key,
-            "fingerprint": host_fingerprint(),
-        }
-        record["checksum"] = _entry_checksum(record)
-        path = tmp_path / CACHE_FILENAME
-        path.write_text(
-            json.dumps({"schema": 2, "entries": {key: record}}),
-            encoding="utf-8",
-        )
-        assert SCHEMA_VERSION > 2
-        Y = reg.multiply(A, X, engine="auto")
-        np.testing.assert_allclose(Y, reference(A, X), rtol=1e-11)
-        assert reg.resolve_engine(A, X.shape[1], "auto") in AVAILABLE
-        assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
-        data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["schema"] == SCHEMA_VERSION
-        assert data["entries"][key]["engine"] in AVAILABLE
-
-    def test_checksum_mismatch_entry_is_skipped(self, A, tmp_path):
-        reg, sel = self._tuned_selector(A, tmp_path)
-        path = tmp_path / CACHE_FILENAME
-        data = json.loads(path.read_text(encoding="utf-8"))
-        key = next(iter(data["entries"]))
-        data["entries"][key]["timings"] = {}  # tamper, stale checksum
-        path.write_text(json.dumps(data), encoding="utf-8")
-        reg2 = KernelRegistry()
-        sel2 = AutoSelector(reg2, cache_dir=tmp_path, repeats=1)
-        sel2.select(A, 4)
-        assert reg2.watch.counts.get("autotune_corrupt", 0) >= 1
-
-    def test_foreign_fingerprint_entry_is_stale(self, A, tmp_path):
-        reg, sel = self._tuned_selector(A, tmp_path)
-        path = tmp_path / CACHE_FILENAME
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for record in data["entries"].values():
-            record["fingerprint"] = {
-                "cpu": "otherhost", "blas": "x", "python": "0",
-            }
-            record["checksum"] = _entry_checksum(record)
-        path.write_text(json.dumps(data), encoding="utf-8")
-        reg2 = KernelRegistry()
-        sel2 = AutoSelector(reg2, cache_dir=tmp_path, repeats=1)
-        assert sel2.select(A, 4) in AVAILABLE
-        assert reg2.watch.counts.get("autotune_stale", 0) >= 1
-
-    def test_torn_read_fault_site(self, A, tmp_path):
-        self._tuned_selector(A, tmp_path)
-        reg = KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        spec = FaultSpec(site="engine.autotune_cache", kind="raise", times=1)
-        with armed(spec):
-            assert sel.select(A, 4) in AVAILABLE
-        assert reg.watch.counts.get("autotune_corrupt", 0) >= 1
-
-    def test_select_routes_around_quarantined_winner(self, A, tmp_path):
-        reg, sel = self._tuned_selector(A, tmp_path)
-        record = sel.record(A, 4)
-        winner = record["engine"]
-        if winner == REFERENCE_ENGINE:
-            pytest.skip("reference engine won the tuning; cannot quarantine")
-        shape = shape_class(A, 4)
-        reg.watch.quarantine(winner, shape)
-        alt = sel.select(A, 4)
-        assert alt != winner
-        assert alt in AVAILABLE or alt == REFERENCE_ENGINE
-
-    def test_tune_skips_quarantined_engines(self, A, tmp_path):
-        reg = KernelRegistry()
-        reg.watch.quarantine("tiled", shape_class(A, 4))
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        record = sel.record(A, 4)
-        assert "tiled" not in record["timings"]
-        assert reg.watch.counts.get("autotune_skip", 0) >= 1
-
-
-# ----------------------------------------------------------------------
 # perfmodel quarantine filter and fault-site catalogue
 # ----------------------------------------------------------------------
 def test_trusted_profiles_drops_quarantined():
@@ -553,7 +417,6 @@ def test_trusted_profiles_drops_quarantined():
 def test_engine_fault_sites_catalogued():
     assert set(ENGINE_FAULT_SITES) == {
         "engine.compile", "engine.load", "engine.multiply",
-        "engine.autotune_cache",
     }
 
 

@@ -196,24 +196,6 @@ def _write_text_site(tmp_path):
     return dest, lambda: atomic_write_text(dest, "new"), None
 
 
-def _autotune_site(tmp_path):
-    from repro.sparse.autotune import CACHE_FILENAME, AutoSelector
-    from repro.sparse.kernels import KernelRegistry
-
-    sel = AutoSelector(KernelRegistry(), cache_dir=tmp_path)
-    sel._memory["a"] = {"engine": "scipy"}
-    sel._persist(tmp_path)
-
-    def attempt():
-        sel._memory["b"] = {"engine": "blocked"}
-        sel._persist(tmp_path)
-
-    # Absorbed: the selection stays memory-only.
-    return tmp_path / CACHE_FILENAME, attempt, lambda: set(sel._memory) == {
-        "a", "b"
-    }
-
-
 def _hub_site(tmp_path):
     from repro.telemetry import TelemetryHub
 
@@ -245,7 +227,6 @@ def _compaction_site(tmp_path):
     [
         ("atomic_savez", _savez_site),
         ("atomic_write_text", _write_text_site),
-        ("autotune", _autotune_site),
         ("telemetry_hub", _hub_site),
         ("journal_compact", _compaction_site),
     ],

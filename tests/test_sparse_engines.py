@@ -1,11 +1,11 @@
-"""Backend registry: engine equivalence, cache correctness, auto-selection.
+"""Backend registry: engine equivalence, cache correctness, resolution.
 
 The property suite asserts every available engine agrees with scipy
 ground truth across the structures that have historically broken
 kernels (empty rows, trailing empty rows, pooled blocks, 1-D X); the
 regression tests pin the three cache/aliasing/dtype bugs fixed by the
-backend-registry PR; the autotune tests cover per-machine selection and
-its disk cache; the profile tests cover the engine-aware perfmodel.
+backend-registry PR; the resolution tests cover engine naming and the
+fallback ladder; the profile tests cover the engine-aware perfmodel.
 """
 
 import json
@@ -29,7 +29,6 @@ from repro.sparse import (
     get_default_registry,
     set_default_engine,
 )
-from repro.sparse.autotune import CACHE_FILENAME, AutoSelector
 from repro.sparse.bcrs import BCRSMatrix
 from repro.sparse.convert import bcrs_to_scipy
 from repro.sparse.gspmv import gspmv, gspmv_into
@@ -120,15 +119,13 @@ class TestScipyViewStaleness:
         )
 
     def test_view_always_shares_blocks(self, small_bcrs):
-        reg = KernelRegistry()
-        view = reg.scipy_view(small_bcrs)
+        view = small_bcrs.scipy_view()
         assert np.shares_memory(view.data, small_bcrs.blocks)
 
     def test_blocks_replacement_rebuilds_view(self, small_bcrs):
-        reg = KernelRegistry()
-        v1 = reg.scipy_view(small_bcrs)
+        v1 = small_bcrs.scipy_view()
         object.__setattr__(small_bcrs, "blocks", small_bcrs.blocks.copy())
-        v2 = reg.scipy_view(small_bcrs)
+        v2 = small_bcrs.scipy_view()
         assert v2 is not v1
         assert np.shares_memory(v2.data, small_bcrs.blocks)
 
@@ -194,15 +191,17 @@ class TestEngineResolution:
         reg = KernelRegistry(default_engine="blocked")
         assert reg.resolve_engine(small_bcrs, 4, None) == "blocked"
 
-    def test_auto_resolves_to_concrete_engine(self, small_bcrs):
-        reg = KernelRegistry()
-        engine = reg.resolve_engine(small_bcrs, 4, "auto")
-        assert engine in ENGINE_NAMES
-
     def test_unknown_engine_rejected(self, small_bcrs):
         reg = KernelRegistry()
-        with pytest.raises(ValueError, match="engine"):
-            reg.resolve_engine(small_bcrs, 4, "cuda")
+        X = np.ones((small_bcrs.n_cols, 2))
+        for name in ("cuda", "auto"):
+            # The message names the valid engines.
+            with pytest.raises(ValueError, match="'blocked', 'tiled'"):
+                reg.resolve_engine(small_bcrs, 4, name)
+            with pytest.raises(ValueError, match="'scipy', 'cgen'"):
+                gspmv(small_bcrs, X, engine=name)
+            with pytest.raises(ValueError, match="'scipy', 'cgen'"):
+                set_default_engine(name)
 
     def test_set_default_engine_roundtrip(self, small_bcrs):
         prev = set_default_engine("tiled")
@@ -238,45 +237,6 @@ class TestEngineResolution:
         assert not caught
 
 
-class TestAutoSelector:
-    def test_selects_a_measured_engine_and_caches(self, small_bcrs, tmp_path):
-        reg = KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        record = sel.record(small_bcrs, 4)
-        assert record["engine"] in AVAILABLE
-        assert set(record["timings"]) <= set(AVAILABLE)
-        cache = json.loads(
-            (tmp_path / CACHE_FILENAME).read_text(encoding="utf-8")
-        )
-        assert record["key"] in cache["entries"]
-
-    def test_disk_cache_skips_retuning(self, small_bcrs, tmp_path):
-        reg = KernelRegistry()
-        AutoSelector(reg, cache_dir=tmp_path, repeats=1).select(small_bcrs, 4)
-        fresh = AutoSelector(reg, cache_dir=tmp_path, repeats=1)
-        fresh._tune = None  # would raise if consulted
-        assert fresh.select(small_bcrs, 4) in AVAILABLE
-
-    def test_shape_key_buckets(self, tmp_path):
-        reg = KernelRegistry()
-        sel = AutoSelector(reg, cache_dir=tmp_path)
-        a = random_bcrs(32, 4.0, seed=1)
-        b = random_bcrs(33, 4.0, seed=2)  # same power-of-two bucket
-        assert sel.shape_key(a, 8) == sel.shape_key(b, 8)
-        assert sel.shape_key(a, 8) != sel.shape_key(a, 16)
-
-    def test_cache_lands_in_telemetry_dir(self, small_bcrs, tmp_path):
-        hub = TelemetryHub(tmp_path)
-        _telemetry.install(hub)
-        try:
-            reg = KernelRegistry()
-            AutoSelector(reg, repeats=1).select(small_bcrs, 2)
-        finally:
-            hub.close()
-            _telemetry.uninstall()
-        assert (tmp_path / CACHE_FILENAME).exists()
-
-
 class TestTelemetryEngineLabel:
     def test_span_and_counters_carry_resolved_engine(
         self, small_bcrs, tmp_path
@@ -304,24 +264,6 @@ class TestTelemetryEngineLabel:
         assert any(
             "engine=blocked" in key and key.startswith("gspmv.calls")
             for key in metrics["counters"]
-        )
-
-    def test_auto_records_concrete_engine(self, small_bcrs, tmp_path):
-        from repro.telemetry.tracer import read_trace
-
-        hub = TelemetryHub(tmp_path)
-        _telemetry.install(hub)
-        try:
-            gspmv(small_bcrs, np.ones((small_bcrs.n_cols, 2)), engine="auto")
-        finally:
-            hub.close()
-            _telemetry.uninstall()
-        events = [
-            e for e in read_trace(tmp_path / "trace.jsonl")
-            if e.name == "gspmv"
-        ]
-        assert events and all(
-            e.attrs["backend"] in ENGINE_NAMES for e in events
         )
 
     def test_demoted_product_is_recorded_under_landing_rung(
@@ -482,7 +424,7 @@ class TestCgenTier:
     def test_cli_engine_choices_match_registry(self):
         from repro.cli import ENGINE_CHOICES
 
-        assert set(ENGINE_CHOICES) == {"auto", *ENGINE_NAMES}
+        assert ENGINE_CHOICES == ENGINE_NAMES
 
 
 class TestEngineProfiles:

@@ -131,10 +131,7 @@ class TestKernelRegistry:
         assert p1 is p2
 
     def test_scipy_view_cached(self, small_bcrs):
-        reg = KernelRegistry()
-        v1 = reg.scipy_view(small_bcrs)
-        v2 = reg.scipy_view(small_bcrs)
-        assert v1 is v2
+        assert small_bcrs.scipy_view() is small_bcrs.scipy_view()
 
     def test_unknown_engine(self, small_bcrs):
         reg = KernelRegistry()
