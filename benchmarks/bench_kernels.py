@@ -49,7 +49,8 @@ except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
 M_VALUES = (1, 2, 8, 16)
 #: The timed engines: the generated kernel and the baseline it must beat.
 ENGINES = ("scipy", "cgen")
-#: Timings per (engine, m); the minimum is kept (best of k).
+#: Timings per (engine, m), alternating between the engines; the
+#: minimum is kept (best of k).
 REPEATS = 5
 #: Calls per (m,) recorded through the telemetry hub for the roofline
 #: validation (means over this many calls, like a production run).
@@ -60,12 +61,25 @@ MIN_SPEEDUP = 1.05
 THRESHOLD = 0.25
 
 
-def best_time(A, X: np.ndarray, engine: str) -> float:
-    """Best-of-:data:`REPEATS` seconds per product on ``engine``."""
+def best_times(A, X: np.ndarray) -> dict:
+    """Best-of-:data:`REPEATS` seconds per product on each engine.
+
+    The engines' repeats alternate, so a load spike on this shared host
+    lands on both sides of a ratio instead of on one engine's whole
+    series.
+    """
     out = np.empty((A.n_rows, X.shape[1]))
-    timer = timeit.Timer(lambda: gspmv_into(A, X, out, engine=engine))
-    number, _ = timer.autorange()  # also warms: plans, compilation
-    return min(timer.repeat(repeat=REPEATS, number=number)) / number
+    timers = {
+        e: timeit.Timer(lambda e=e: gspmv_into(A, X, out, engine=e))
+        for e in ENGINES
+    }
+    # autorange also warms: plans, compilation.
+    numbers = {e: t.autorange()[0] for e, t in timers.items()}
+    best = dict.fromkeys(ENGINES, float("inf"))
+    for _ in range(REPEATS):
+        for e, timer in timers.items():
+            best[e] = min(best[e], timer.timeit(numbers[e]) / numbers[e])
+    return best
 
 
 def collect() -> dict:
@@ -78,7 +92,7 @@ def collect() -> dict:
     timings = {}
     for m in M_VALUES:
         X = rng.standard_normal((A.n_cols, m))
-        timings[m] = {e: best_time(A, X, e) for e in ENGINES}
+        timings[m] = best_times(A, X)
     speedup_vs_scipy = {
         m: t["scipy"] / t["cgen"] for m, t in timings.items()
     }

@@ -1,13 +1,15 @@
-"""Check a run's span tree: unique span ids, every step under a chunk.
+"""Check a run's span tree: unique span ids, every step under a chunk
+and every span under a chunk stamped with its id.
 
     PYTHONPATH=src python benchmarks/check_trace.py <telemetry-dir>
 
 Reads ``<telemetry-dir>/trace.jsonl`` (with its rotated segments) and
 exits non-zero, naming the offenders, when two spans share an id, when
-a step span's parent is missing or is not a chunk span, when a step
-span under a chunk span carries no ``chunk`` correlation id, or when a
-chunk span was closed as abandoned.  A trace that a killed run and its
-resume both appended to must pass too.
+a step span's parent is missing or is not a chunk span, when a span
+nested under a chunk span carries another ``chunk`` correlation id than
+that chunk's (or none), or when a chunk span was closed as abandoned.
+A trace that a killed run and its resume both appended to must pass
+too.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 from typing import List, Sequence
+
+
+def _enclosing_chunk(span, by_id: dict):
+    """The nearest chunk span above ``span`` (``None``: not under one)."""
+    parent = by_id.get(span.parent_id)
+    while parent is not None and parent.name != "chunk":
+        parent = by_id.get(parent.parent_id)
+    return parent
 
 
 def trace_problems(spans: Sequence) -> List[str]:
@@ -36,13 +46,16 @@ def trace_problems(spans: Sequence) -> List[str]:
     ]
     if orphans:
         problems.append(f"step spans outside a chunk span: {orphans}")
-    unstamped = [
-        s.attrs.get("step") for s in steps
-        if s.parent_id in by_id and by_id[s.parent_id].name == "chunk"
-        and "chunk" not in s.attrs
-    ]
-    if unstamped:
-        problems.append(f"step spans without a chunk id: {unstamped}")
+    mislabelled = set()
+    for s in spans:
+        chunk = _enclosing_chunk(s, by_id)
+        if chunk is not None and s.attrs.get("chunk") != chunk.attrs["chunk"]:
+            mislabelled.add((s.name, s.attrs.get("chunk"), chunk.attrs["chunk"]))
+    if mislabelled:
+        problems.append(
+            "spans whose chunk id is not their chunk span's "
+            f"(name, carried, chunk): {sorted(mislabelled, key=repr)[:5]}"
+        )
     abandoned = [s.attrs for s in chunks if "abandoned" in s.attrs]
     if abandoned:
         problems.append(f"abandoned chunk spans: {abandoned}")

@@ -285,6 +285,11 @@ class ResilientRunner:
                     _obs.annotate(step=self.step_index)
                     if self._chunked:
                         if self.driver.pending is None:
+                            # Stamp the chunk about to start, so the spans
+                            # its own start emits (R0, Brownian block,
+                            # block solve) carry its id; an m-halving
+                            # retry reuses the index.
+                            _obs.annotate(chunk=self.driver.chunks_done)
                             remaining = n_steps - report.steps_completed
                             self._begin_chunk_resilient(
                                 min(int(self.driver.mrhs.m), remaining), report

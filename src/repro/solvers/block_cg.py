@@ -87,6 +87,15 @@ class BlockCGResult(ResultView):
         return self.residual_norms[-1] if self.residual_norms else np.array([])
 
 
+def _column_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of ``V`` (no temporaries).
+
+    Sums in another order than ``np.linalg.norm(V, axis=0)`` on a
+    column-major ``V``, so the two may differ in the last bit.
+    """
+    return np.sqrt(np.einsum("ij,ij->j", V, V))
+
+
 def _solve_small(G: np.ndarray, RHS: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Solve the m x m system ``G Y = RHS`` robustly.
 
@@ -101,7 +110,7 @@ def _solve_small(G: np.ndarray, RHS: np.ndarray) -> Tuple[np.ndarray, bool]:
     Returns ``(Y, breakdown)``.
     """
     G = 0.5 * (G + G.T)
-    scale = float(np.max(np.abs(np.diag(G)), initial=0.0))
+    scale = float(np.abs(G.diagonal()).max())
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -109,8 +118,7 @@ def _solve_small(G: np.ndarray, RHS: np.ndarray) -> Tuple[np.ndarray, bool]:
     # Cholesky can succeed on a numerically singular matrix; a tiny
     # pivot relative to the diagonal scale means the block has
     # (nearly) lost rank and the triangular solves would amplify noise.
-    d = np.diag(L)
-    if scale > 0 and float(np.min(d)) ** 2 <= 1e-14 * scale:
+    if scale > 0 and float(L.diagonal().min()) ** 2 <= 1e-14 * scale:
         return np.linalg.lstsq(G, RHS, rcond=None)[0], True
     y = np.linalg.solve(L, RHS)
     return np.linalg.solve(L.T, y), False
@@ -224,7 +232,7 @@ def _block_conjugate_gradient(
     R_full = B - (A @ X)
     gspmv_calls = 1
     monitor.count_matvec()
-    latest_rn = np.linalg.norm(R_full, axis=0)
+    latest_rn = _column_norms(R_full)
     monitor.observe(latest_rn)
     bad = ~np.isfinite(latest_rn)
     finite = not bad.any()
@@ -248,6 +256,11 @@ def _block_conjugate_gradient(
         )
 
     R = R_full[:, act].copy()
+    # The active columns' iterates, row-major like the ``P @ alpha``
+    # added to them every iteration, and written back into ``X`` only on
+    # deflation and at exit.
+    Xa = np.ascontiguousarray(X[:, act])
+    stop_act = stop[act]
     Z = apply_m(R)
     P = Z.copy()
     RZ = R.T @ Z
@@ -257,9 +270,13 @@ def _block_conjugate_gradient(
     stagnation_strikes = 0
 
     def true_residual() -> np.ndarray:
-        """Recompute ``B - A X`` on the active columns (one GSPMV)."""
+        """Recompute ``B - A X`` on the active columns (one GSPMV).
+
+        ``A`` gets the column-major layout a gather ``X[:, act]`` has,
+        which a dense ``A``'s product rounds differently from a
+        row-major one."""
         monitor.count_matvec()
-        return B[:, act] - (A @ X[:, act])
+        return B[:, act] - (A @ np.asfortranarray(Xa))
 
     def restart(Rt: np.ndarray, reason: str):
         """Rebuild the Krylov process from the (replaced) residual."""
@@ -276,21 +293,21 @@ def _block_conjugate_gradient(
             monitor.record_breakdown(
                 "alpha_singular", f"P^T A P rank-deficient at m_act={len(act)}"
             )
-        X[:, act] += P @ alpha
+        Xa += P @ alpha
         R -= AP @ alpha
         since_replace += 1
-        rn_act = np.linalg.norm(R, axis=0)
+        rn_act = _column_norms(R)
         latest_rn[act] = rn_act
         monitor.observe(latest_rn, active=act)
 
-        apparent = rn_act <= stop[act]
+        apparent = rn_act <= stop_act
         stalled = monitor.stalled
         periodic = since_replace >= replace_every
         if apparent.any() or stalled or periodic:
             # Residual replacement: never trust the recurrence for a
             # convergence decision, and repair it when it has drifted.
             Rt = true_residual()
-            rn_true = np.linalg.norm(Rt, axis=0)
+            rn_true = _column_norms(Rt)
             drift = float(
                 np.max(np.abs(rn_true - rn_act) / np.maximum(rn_true, 1e-300))
             )
@@ -298,14 +315,17 @@ def _block_conjugate_gradient(
             latest_rn[act] = rn_true
             monitor.amend_last(latest_rn)
             true_rn[act] = rn_true
-            conv_true = rn_true <= stop[act]
+            conv_true = rn_true <= stop_act
             if conv_true.all():
                 converged = finite
                 break
             if conv_true.any():
                 # Deflate: freeze converged columns, shrink the block.
                 keep = np.flatnonzero(~conv_true)
+                X[:, act] = Xa
                 act = act[keep]
+                Xa = np.ascontiguousarray(X[:, act])
+                stop_act = stop[act]
                 Rt = Rt[:, keep]
                 P = P[:, keep]
                 RZ = RZ[np.ix_(keep, keep)]
@@ -347,11 +367,12 @@ def _block_conjugate_gradient(
         RZ = RZ_new
         P = Z + P @ beta
 
+    X[:, act] = Xa
     if converged or monitor.iteration >= max_iter:
         # Report the final true residual even when the cap was hit.
         if not converged:
             Rt = true_residual()
-            true_rn[act] = np.linalg.norm(Rt, axis=0)
+            true_rn[act] = _column_norms(Rt)
             latest_rn[act] = true_rn[act]
             monitor.amend_last(latest_rn)
             converged = bool(np.all(true_rn <= stop))

@@ -180,7 +180,9 @@ def _conjugate_gradient(
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rn = float(np.linalg.norm(r))
+        # What ``np.linalg.norm`` computes for a vector, without its
+        # argument handling.
+        rn = math.sqrt(r.dot(r))
         monitor.observe([rn])
         if callback is not None:
             callback(monitor.iteration, x)
@@ -207,7 +209,8 @@ def _conjugate_gradient(
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta  # p <- z + beta p, in place
+        p += z
     if not converged:
         # Iteration cap or breakdown: report the true residual, as block
         # CG does at its cap, not the recurred one.

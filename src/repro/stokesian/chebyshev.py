@@ -126,19 +126,28 @@ class ChebyshevSqrt:
         span = self.lam_max - self.lam_min
         shift = self.lam_max + self.lam_min
 
+        # In place only on arrays allocated here: never on Z, nor on what
+        # ``mul`` returned (an override may still hold it).  The same
+        # elementwise operations in the same order as
+        # ``(2 mul(X) - shift X) / span``, so the same bytes.
         def shifted(X: np.ndarray) -> np.ndarray:
-            return (2.0 * mul(X) - shift * X) / span
+            Y = 2.0 * mul(X)
+            Y -= shift * X
+            Y /= span
+            return Y
 
         c = self.coefficients
         Tkm1 = Z
         out = 0.5 * c[0] * Z
         if self.degree >= 1:
             Tk = shifted(Z)
-            out = out + c[1] * Tk
+            out += c[1] * Tk
             for k in range(2, self.degree + 1):
-                Tkp1 = 2.0 * shifted(Tk) - Tkm1
+                Tkp1 = shifted(Tk)
+                Tkp1 *= 2.0
+                Tkp1 -= Tkm1
                 Tkm1, Tk = Tk, Tkp1
-                out = out + c[k] * Tk
+                out += c[k] * Tk
         return out
 
 

@@ -18,6 +18,7 @@ from typing import Any, Optional, Union
 
 from repro.durable import publish
 
+from .context import _context as _corr
 from .events import EVENTS_FILENAME, NULL_BUS, EventBus
 from .exporter import MetricsExporter
 from .metrics import NULL_METRICS, MetricsRegistry, _NullMetrics
@@ -210,20 +211,24 @@ class TelemetryHub:
         else:
             if pending is not None:
                 self._flush_pending()
-            self._pending = [pkey, 1, duration, tr.clock() - duration]
+            self._pending = [pkey, 1, duration, tr.clock() - duration, dict(_corr)]
 
     def _flush_pending(self) -> None:
         """Emit the in-flight kernel aggregate as one span event."""
         pending, self._pending = self._pending, None
         if pending is None:
             return
-        (parent_id, key), count, total, start = pending
+        (parent_id, key), count, total, start, ids = pending
         kind, m, nb, nnzb, b, backend = key
         attrs = {"nb": nb, "nnzb": nnzb, "b": b, "m": m, "backend": backend}
         if count > 1:
             attrs["calls"] = count
+        # Stamped with the ids of when the calls ran: by the flush (the
+        # next parent's first call, or the run's end) the chunk or step
+        # may have moved on.
         self.tracer.emit(
-            kind, start=start, duration=total, parent_id=parent_id, **attrs
+            kind, start=start, duration=total, parent_id=parent_id, ids=ids,
+            **attrs,
         )
 
     # ------------------------------------------------------------------

@@ -343,11 +343,15 @@ class Tracer:
         start: float,
         duration: float,
         parent_id: Optional[int],
+        ids: Optional[Dict[str, Any]] = None,
         **attrs: Any,
     ) -> None:
         """Emit a completed span with an explicit parent — the form the
         hub's aggregated kernel events use, where the parent phase may
-        already have closed by the time the aggregate is flushed."""
+        already have closed by the time the aggregate is flushed.
+        ``ids`` replaces the ambient correlation ids (an aggregate
+        carries those current when its calls ran)."""
+        corr = _corr if ids is None else ids
         self._buffer.append(
             SpanEvent(
                 name=name,
@@ -355,7 +359,7 @@ class Tracer:
                 parent_id=parent_id,
                 start=start,
                 duration=duration,
-                attrs={**_corr, **attrs} if _corr else dict(attrs),
+                attrs={**corr, **attrs} if corr else dict(attrs),
             )
         )
         self.events_emitted += 1

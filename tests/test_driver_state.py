@@ -219,6 +219,29 @@ class TestSlicedRunStampsTheChunk:
         assert [e.attrs["step"] for e in steps] == list(range(8))
         assert [e.attrs.get("chunk") for e in steps] == [0] * M + [1] * M
 
+    def test_a_chunk_start_carries_the_chunk_it_starts(self, tmp_path):
+        """The spans a chunk's start emits (R0, Brownian block, block
+        solve) carry that chunk's id, also after an m-halving retry."""
+        hub = TelemetryHub(tmp_path / "run")
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(site="mrhs.block_breakdown", at={"chunk": 1}, times=2),
+            )
+        )
+        runner = ResilientRunner(_mrhs(n=40, telemetry=hub), injector=plan)
+        report = runner.run_steps(3 * M)
+        hub.close()
+        assert report.degradations == [(1, M // 2)]
+        spans = read_trace(tmp_path / "run" / TRACE_FILENAME)
+        # Chunk 1 starts three times: two injected breakdowns (before
+        # the block solve), then the retry at m/2.
+        for name, chunks in (
+            ("Construct R0", [0, 1, 1, 1, 2, 3]),
+            ("Cheb vectors", [0, 1, 1, 1, 2, 3]),
+            ("block_cg.solve", [0, 1, 2, 3]),
+        ):
+            assert [e.attrs.get("chunk") for e in spans if e.name == name] == chunks
+
 
 class TestChunkRewindTracksTheAcceptedTimeline:
     @staticmethod

@@ -59,6 +59,27 @@ class TestCorrelationContext:
             assert obs.correlation()["step"] == 3
         assert obs.correlation() == {}
 
+    def test_kernel_aggregate_carries_the_ids_of_its_calls(self, tmp_path):
+        """An aggregated kernel span is flushed later (at the next
+        parent's first call, or at close), when the step may have moved
+        on; it is stamped with the ids current when its calls ran."""
+        hub = TelemetryHub(tmp_path)
+        with obs.scope(run_id="r"):
+            obs.annotate(chunk=0, step=3)
+            with hub.tracer.span("step"):
+                hub.record_gspmv("spmv", 1e-4, nb=4, nnzb=8, b=3, m=1)
+                hub.record_gspmv("spmv", 1e-4, nb=4, nnzb=8, b=3, m=1)
+            obs.annotate(chunk=1, step=4)
+            with hub.tracer.span("step"):
+                hub.record_gspmv("spmv", 1e-4, nb=4, nnzb=8, b=3, m=1)
+        hub.close()  # outside the scope: no ambient ids left
+        spans = [s for s in read_trace(tmp_path / "trace.jsonl") if s.name == "spmv"]
+        assert [(s.attrs.get("chunk"), s.attrs.get("step")) for s in spans] == [
+            (0, 3), (1, 4)
+        ]
+        assert [s.attrs.get("calls") for s in spans] == [2, None]
+        assert all(s.attrs["run_id"] == "r" for s in spans)
+
     def test_next_run_id_is_unique(self):
         a, b = obs.next_run_id(), obs.next_run_id()
         assert a != b and a.startswith("run-")

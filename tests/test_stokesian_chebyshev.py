@@ -12,6 +12,27 @@ from repro.stokesian.chebyshev import (
 from tests.conftest import random_bcrs
 
 
+def _expression_form(approx: ChebyshevSqrt, A, Z: np.ndarray) -> np.ndarray:
+    """``S(A) Z`` as the recurrence was once written, one temporary per
+    operation (the oracle for the in-place form)."""
+    span = approx.lam_max - approx.lam_min
+    shift = approx.lam_max + approx.lam_min
+
+    def shifted(X):
+        return (2.0 * (A @ X) - shift * X) / span
+
+    c = approx.coefficients
+    Tkm1 = Z
+    out = 0.5 * c[0] * Z
+    Tk = shifted(Z)
+    out = out + c[1] * Tk
+    for k in range(2, approx.degree + 1):
+        Tkp1 = 2.0 * shifted(Tk) - Tkm1
+        Tkm1, Tk = Tk, Tkp1
+        out = out + c[k] * Tk
+    return out
+
+
 class TestCoefficients:
     def test_constant_function(self):
         c = chebyshev_coefficients(lambda x: np.full_like(x, 5.0), 1.0, 2.0, 4)
@@ -95,6 +116,34 @@ class TestChebyshevSqrt:
 
         approx.apply(A, np.ones(A.n_rows), matmul=counted)
         assert len(calls) == degree  # one product per polynomial order
+
+    @pytest.mark.parametrize("cols", [None, 1, 5])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_in_place_recurrence_is_bitwise_the_expression_form(
+        self, cols, override
+    ):
+        """The in-place recurrence against the expression form it
+        replaced, kept here as the oracle: same bytes, and neither ``Z``
+        nor any product the ``matmul`` override returned is written."""
+        A = random_bcrs(40, 4.0, seed=5, spd=True)
+        w = np.linalg.eigvalsh(A.to_dense())
+        approx = ChebyshevSqrt.fit(0.9 * w.min(), 1.1 * w.max(), degree=30)
+        dims = (A.n_rows,) if cols is None else (A.n_rows, cols)
+        Z = np.random.default_rng(6).standard_normal(dims)
+        Z_before = Z.copy()
+        held = []
+
+        def holding(X):
+            product = A @ X
+            held.append((product, product.copy()))
+            return product
+
+        got = approx.apply(A, Z, matmul=holding if override else None)
+        assert got.tobytes() == _expression_form(approx, A, Z).tobytes()
+        assert Z.tobytes() == Z_before.tobytes()
+        assert len(held) == (approx.degree if override else 0)
+        for product, snapshot in held:
+            assert product.tobytes() == snapshot.tobytes()
 
     def test_degree_zero(self):
         approx = ChebyshevSqrt.fit(4.0, 4.00001, degree=0)
