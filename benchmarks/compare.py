@@ -23,6 +23,11 @@ threshold.  Three key classes, three thresholds:
   ignored.  Gate tighter by passing a smaller value when baseline and
   fresh ran on the same machine.
 
+Keys under ``machine.`` are the host's own quick probes (flop rate,
+stream bandwidth) that a report records next to its results; they move
+with the host's load, not with the code, so they are printed for
+context and never gated.
+
 Booleans must not flip from true to false, and a fresh report with
 ``"passed": false`` fails regardless of the numbers.  Exit status: 0
 clean, 1 regressions (listed on stderr), 2 unusable input.
@@ -50,6 +55,8 @@ _HIGHER_IS_BETTER = re.compile(
     r"(speedup|throughput|flop_rate|stream_bw|bw_scale|hits)", re.IGNORECASE
 )
 _PCT = re.compile(r"_pct(\.|$)", re.IGNORECASE)
+#: Host probes recorded with a report: shown, never gated.
+_HOST_PROBE = re.compile(r"^machine\.")
 
 
 def classify(key: str) -> Optional[Tuple[str, int]]:
@@ -94,6 +101,8 @@ def _iter_regressions(
     abs_floor_s: float,
 ) -> Iterator[str]:
     for key in sorted(set(base) & set(fresh)):
+        if _HOST_PROBE.match(key):
+            continue
         b, f = base[key], fresh[key]
         if isinstance(b, bool) or isinstance(f, bool):
             if b is True and f is False:
@@ -152,6 +161,18 @@ def compare_documents(
     return problems
 
 
+def _host_probe_moves(
+    baseline: Dict[str, Any], fresh: Dict[str, Any]
+) -> List[str]:
+    """One line per shared numeric ``machine.*`` key, for context."""
+    base, new = flatten_metrics(baseline), flatten_metrics(fresh)
+    return [
+        f"{key}: {base[key]:.4g} -> {new[key]:.4g} (host probe, not gated)"
+        for key in sorted(set(base) & set(new))
+        if _HOST_PROBE.match(key) and not isinstance(base[key], bool)
+    ]
+
+
 def _load(path: Path) -> Dict[str, Any]:
     with path.open(encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -207,6 +228,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         abs_floor_s=args.abs_floor_s,
     )
     name = fresh.get("name", args.fresh.name)
+    for line in _host_probe_moves(baseline, fresh):
+        print(f"sentinel: {name}: {line}")
     if problems:
         print(
             f"PERF REGRESSION: {name}: {len(problems)} metric(s) "

@@ -210,27 +210,43 @@ class BCRSMatrix:
 
     def _derived(self, name: str, build: Callable[["BCRSMatrix"], T]) -> T:
         """``build(self)``, kept on the matrix under ``name`` and built
-        once per :attr:`blocks` array: rebinding ``blocks`` rebuilds it,
-        an in-place edit of the values does not."""
+        once per set of arrays: rebinding :attr:`row_ptr`,
+        :attr:`col_ind` or :attr:`blocks` rebuilds it, an in-place edit
+        of the values does not.  The entry holds the arrays it was built
+        from, so addresses taken from them stay valid while it lives."""
         cache = self.__dict__.setdefault("_derived_cache", {})
         built = cache.get(name)
-        if built is None or built[0] is not self.blocks:
-            built = cache[name] = (self.blocks, build(self))
-        return built[1]
+        if (
+            built is None
+            or built[0] is not self.row_ptr
+            or built[1] is not self.col_ind
+            or built[2] is not self.blocks
+        ):
+            built = cache[name] = (
+                self.row_ptr, self.col_ind, self.blocks, build(self)
+            )
+        return built[3]
 
     def diagonal_blocks(self) -> np.ndarray:
         """Return the ``(min(nbr,nbc), b, b)`` array of diagonal blocks.
 
         Missing diagonal blocks come back as zero blocks; if a block row
         holds duplicate diagonal entries, the first one wins.  Gathered
-        once per block array (:meth:`_derived`) and read-only.
+        once per set of arrays (:meth:`_derived`) and read-only.
         """
         return self._derived("diagonal_blocks", _gather_diagonal)
 
     def scipy_view(self) -> sp.bsr_matrix:
         """A ``scipy.sparse.bsr_matrix`` sharing :attr:`blocks` (so it
-        sees in-place edits), built once per block array."""
+        sees in-place edits), built once per set of arrays."""
         return self._derived("scipy_view", _bsr_view)
+
+    def kernel_binding(self) -> "tuple[int, int, int, int]":
+        """``(nb_rows, row_ptr, col_ind, blocks)`` with each array as its
+        data address: the matrix half of a compiled-kernel call
+        (:func:`repro.sparse.kernels_cgen.gspmv_cgen`), taken once per
+        set of arrays instead of once per product."""
+        return self._derived("kernel_binding", _bind_addresses)
 
     # ------------------------------------------------------------------
     # algebra
@@ -340,3 +356,25 @@ def _bsr_view(A: BCRSMatrix) -> sp.bsr_matrix:
         # reordering it, so re-point the view at the blocks.
         view.data = A.blocks
     return view
+
+
+def _bind_addresses(A: BCRSMatrix) -> "tuple[int, int, int, int]":
+    # The kernel reads raw memory, so hold a rebound array to the
+    # layout ``__post_init__`` establishes.
+    arrays = (A.row_ptr, A.col_ind, A.blocks)
+    if (
+        [a.dtype for a in arrays] != [_INDEX_DTYPE, _INDEX_DTYPE, np.float64]
+        or not all(a.flags.c_contiguous for a in arrays)
+        or A.row_ptr[-1] != len(A.col_ind)
+        or len(A.col_ind) != len(A.blocks)
+    ):
+        raise ValueError(
+            "kernel binding needs C-contiguous int32 row_ptr/col_ind and "
+            "float64 blocks of consistent sizes"
+        )
+    return (
+        A.nb_rows,
+        A.row_ptr.ctypes.data,
+        A.col_ind.ctypes.data,
+        A.blocks.ctypes.data,
+    )

@@ -32,16 +32,19 @@ Engines (see DESIGN.md §13):
 ``"scipy"``
     Delegates to ``scipy.sparse``'s C implementation via the BSR view
     sharing ``A``'s block array that ``A`` keeps (``A.scipy_view()``).
+    The fallback rung below ``cgen``.
 
 ``"cgen"``
     Generated C kernels compiled per ``(block_size, m)`` with the
     system compiler and register blocking over the vector dimension —
     the reproduction of the paper's per-``m`` code generator
-    (:mod:`repro.sparse.kernels_cgen`).  Unavailable environments
+    (:mod:`repro.sparse.kernels_cgen`).  ``A`` binds its array
+    addresses once (``A.kernel_binding()``), so a product passes only
+    ``X`` and ``Y``.  The default engine; unavailable environments
     demote to ``scipy`` with a one-time warning.
 
 A product runs on the engine its caller names, or on the registry's
-:attr:`KernelRegistry.default_engine` when it names none.
+:attr:`KernelRegistry.default_engine` (``cgen``) when it names none.
 
 Every product runs under the engine watchdog
 (:mod:`repro.sparse.enginewatch`, DESIGN.md §14): engine-tier failures
@@ -162,7 +165,7 @@ class KernelRegistry:
     ``--engine`` flag and :func:`set_default_engine` rebind it.
     """
 
-    def __init__(self, default_engine: str = "scipy") -> None:
+    def __init__(self, default_engine: str = "cgen") -> None:
         self.default_engine: str = default_engine
         self._plans: Dict[Tuple[int, int], _BlockedPlan] = {}
         self._warned_fallback: set = set()
@@ -510,7 +513,7 @@ class KernelRegistry:
     ) -> np.ndarray:
         Y = out if out is not None else np.empty((A.n_rows, X.shape[1]))
         kernels_cgen.gspmv_cgen(
-            A.row_ptr, A.col_ind, A.blocks, np.ascontiguousarray(X), Y,
+            A.kernel_binding(), A.block_size, np.ascontiguousarray(X), Y,
             watch=self.watch,
         )
         return Y

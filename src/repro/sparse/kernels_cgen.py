@@ -314,14 +314,10 @@ def _load(so_path: Path) -> Callable:
             except OSError:
                 pass
     fn = lib.gspmv
-    fn.argtypes = [
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_int32),
-        ctypes.POINTER(ctypes.c_int32),
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-    ]
+    # Raw addresses: a matrix binds its three arrays once
+    # (:meth:`~repro.sparse.bcrs.BCRSMatrix.kernel_binding`), so a
+    # product converts only the addresses of ``X`` and ``Y``.
+    fn.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 5
     fn.restype = None
     return fn
 
@@ -338,7 +334,8 @@ def _smoke_test(fn: Callable, b: int, m: int) -> None:
     blk = np.ascontiguousarray(np.eye(b)[None, :, :])
     x = np.arange(1.0, b * m + 1.0).reshape(b, m)
     y = np.full((b, m), np.nan)
-    _call(fn, 1, rp, ci, blk, x, y)
+    fn(1, rp.ctypes.data, ci.ctypes.data, blk.ctypes.data,
+       x.ctypes.data, y.ctypes.data)
     if not np.array_equal(y, x):
         raise KernelLoadError(
             f"kernel (b={b}, m={m}) failed its identity smoke test"
@@ -401,8 +398,10 @@ def get_kernel(b: int, m: int, watch=None) -> Callable:
 def available() -> bool:
     """True when the compiled tier works in this environment.
 
-    Probes once per process by building (or loading from cache) a tiny
-    kernel, which includes the identity smoke test.  Failure is scoped
+    Probes once per process by building (or loading from cache) the
+    ``(3, 1)`` kernel, which includes the identity smoke test.  That is
+    the SPMV every Stokesian run multiplies with, so the probe compiles
+    nothing a run would not.  Failure is scoped
     to the pipeline's own narrow exceptions — a missing compiler,
     compile/load trouble, a read-only cache — and the reason is kept
     for the registry's fallback event (:func:`unavailable_reason`);
@@ -415,7 +414,7 @@ def available() -> bool:
             _unavailable_reason = "no C compiler found"
         else:
             try:
-                get_kernel(2, 1)
+                get_kernel(3, 1)
                 _available = True
             except (EngineFailure, OSError) as exc:
                 _available = False
@@ -437,35 +436,21 @@ def _reset() -> None:
     _kernels.clear()
 
 
-def _ptr_i32(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-
-
-def _ptr_f64(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _call(fn, nb, row_ptr, col_ind, blocks, X, Y) -> None:
-    fn(nb, _ptr_i32(row_ptr), _ptr_i32(col_ind), _ptr_f64(blocks),
-       _ptr_f64(X), _ptr_f64(Y))
-
-
 def gspmv_cgen(
-    row_ptr: np.ndarray,
-    col_ind: np.ndarray,
-    blocks: np.ndarray,
+    binding: Tuple[int, int, int, int],
+    b: int,
     X: np.ndarray,
     Y: np.ndarray,
     watch=None,
 ) -> None:
     """Run the compiled kernel: ``Y = A @ X`` into preallocated ``Y``.
 
-    All arrays must be C-contiguous with the BCRS dtypes (int32 indices,
-    float64 values); the caller (:class:`~repro.sparse.kernels.
-    KernelRegistry`) guarantees this.  ``watch`` receives pipeline
-    events (retries, cache recoveries) when provided.
+    ``binding`` is ``A``'s :meth:`~repro.sparse.bcrs.BCRSMatrix.
+    kernel_binding` and ``b`` its block size; ``X`` and ``Y`` must be
+    C-contiguous float64 ``(n, m)`` arrays, which the caller
+    (:class:`~repro.sparse.kernels.KernelRegistry`) guarantees.
+    ``watch`` receives pipeline events (retries, cache recoveries) when
+    provided.
     """
-    b = blocks.shape[1] if blocks.ndim == 3 else 1
-    m = X.shape[1]
-    fn = get_kernel(b, m, watch=watch)
-    _call(fn, len(row_ptr) - 1, row_ptr, col_ind, blocks, X, Y)
+    fn = get_kernel(b, X.shape[1], watch=watch)
+    fn(*binding, X.ctypes.data, Y.ctypes.data)

@@ -182,6 +182,38 @@ class TestMainExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_host_probes_are_printed_not_gated(self, tmp_path, capsys):
+        """``machine.*`` keys are the host's own quick probes: a halved
+        flop rate is shown but fails nothing, while a kernel ratio
+        beside it is still gated at the 15% default."""
+        base = _doc(
+            {
+                "machine": {"flop_rate": 1.9e9, "stream_bw": 3.0e10},
+                "speedup_vs_scipy": {"8": 7.5},
+            }
+        )
+        slow_host = _doc(
+            {
+                "machine": {"flop_rate": 1.0e9, "stream_bw": 2.0e10},
+                "speedup_vs_scipy": {"8": 7.4},
+            }
+        )
+        assert compare_documents(base, slow_host) == []
+        rc = compare_main(
+            [
+                "--baseline", self._write(tmp_path / "b.json", base),
+                "--fresh", self._write(tmp_path / "f.json", slow_host),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "machine.flop_rate: 1.9e+09 -> 1e+09 (host probe, not gated)" in out
+        assert "machine.stream_bw: 3e+10 -> 2e+10 (host probe, not gated)" in out
+        slow_kernel = copy.deepcopy(slow_host)
+        slow_kernel["metrics"]["speedup_vs_scipy"]["8"] = 6.0
+        problems = compare_documents(base, slow_kernel)
+        assert len(problems) == 1 and problems[0].startswith("speedup_vs_scipy.8")
+
     def test_threshold_flags_reach_the_gate(self, tmp_path):
         base = _doc({"step_time_s": 1.0})
         fresh = _doc({"step_time_s": 1.2})

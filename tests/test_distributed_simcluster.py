@@ -7,6 +7,7 @@ from repro.distributed.netmodel import INFINIBAND, NetworkSpec
 from repro.distributed.partition import contiguous_partition, coordinate_partition
 from repro.distributed.simcluster import DistributedGspmv, MultiNodeTimeModel
 from repro.perfmodel.machine import CLUSTER_NODE
+from repro.sparse.convert import bcrs_to_scipy
 from repro.sparse.gspmv import gspmv
 from repro.stokesian.packing import random_configuration
 from repro.stokesian.resistance import build_resistance_matrix
@@ -38,12 +39,21 @@ class TestNetworkSpec:
 class TestDistributedGspmv:
     @pytest.mark.parametrize("p", [1, 2, 4, 7])
     def test_matches_single_node_exactly(self, sd_case, p):
-        """Distributing a product must not change its result."""
+        """Distributing a product must not change its result beyond the
+        rounding of a reordered row sum.
+
+        A rank's local product may sum a row in another order than the
+        single-node engine, so an element whose row cancels (entries of
+        1e3-1e4 summing to ~0.4) can differ by far more than a relative
+        1e-13 of itself.  The bound is therefore the componentwise one
+        for a reordered sum, ``1e-13 * (|A| @ |X|)``.
+        """
         system, A = sd_case
         part = coordinate_partition(system, A, p)
         dist = DistributedGspmv(A, part)
         X = np.random.default_rng(p).standard_normal((A.n_cols, 4))
-        np.testing.assert_allclose(dist.multiply(X), gspmv(A, X), rtol=1e-13)
+        scale = abs(bcrs_to_scipy(A)) @ np.abs(X)
+        assert np.all(np.abs(dist.multiply(X) - gspmv(A, X)) <= 1e-13 * scale)
 
     def test_single_vector(self, sd_case):
         system, A = sd_case

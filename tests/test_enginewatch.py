@@ -342,6 +342,25 @@ class TestCgenPipeline:
             kernels_cgen._reset()
 
     @needs_cc
+    def test_probe_and_a_step_compile_only_kernels_the_step_uses(
+        self, cgen_sandbox, monkeypatch
+    ):
+        """The availability probe builds a ``b=3`` kernel, so a fresh
+        cache plus one Stokesian step compiles no ``b=2`` kernel."""
+        from repro.sparse import kernels
+        from repro.stokesian.dynamics import SDParameters, StokesianDynamics
+        from repro.stokesian.packing import random_configuration
+
+        monkeypatch.setattr(kernels, "_DEFAULT", KernelRegistry())
+        sd = StokesianDynamics(
+            random_configuration(20, 0.3, rng=1), SDParameters(), rng=2
+        )
+        sd.run(1)
+        names = [p.name for p in cgen_sandbox.rglob("gspmv_*.so")]
+        assert any(n.startswith("gspmv_b3_m1_") for n in names)
+        assert not [n for n in names if n.startswith("gspmv_b2_")]
+
+    @needs_cc
     def test_injected_compile_failure_raises_compile_error(
         self, cgen_sandbox
     ):

@@ -380,7 +380,8 @@ class TestOneProductPath:
         from repro.resilience.faults import FaultInjector
         from repro.service.manager import ServiceInjector
 
-        monkeypatch.setattr(kernels, "_DEFAULT", KernelRegistry())
+        reg = KernelRegistry()
+        monkeypatch.setattr(kernels, "_DEFAULT", reg)
         fired = []
         fire = FaultInjector.fire
 
@@ -397,13 +398,16 @@ class TestOneProductPath:
             small_bcrs @ X[:, 0]
         assert "engine.multiply" not in fired
 
+        # Aim at the engine the product runs on by default (``cgen``,
+        # or ``scipy`` where there is no C toolchain).
         spec = FaultSpec(
             site="engine.multiply", kind="raise",
-            at={"engine": "scipy"}, times=1,
+            at={"engine": reg.resolve_engine(small_bcrs, 4)}, times=1,
         )
         with armed(ServiceInjector(spec)) as injector:
             Y = small_bcrs @ X
-        assert fired.count("engine.multiply") == 2  # scipy, then blocked
+        # The default engine, then the next rung of the ladder.
+        assert fired.count("engine.multiply") == 2
         assert len(injector.events_at("engine.multiply")) == 1
         assert kernels._DEFAULT.watch.counts["engine_failure"] == 1
         np.testing.assert_allclose(
@@ -425,6 +429,95 @@ class TestCgenTier:
         from repro.cli import ENGINE_CHOICES
 
         assert ENGINE_CHOICES == ENGINE_NAMES
+
+
+needs_cgen = pytest.mark.skipif(
+    "cgen" not in AVAILABLE, reason="no C toolchain in environment"
+)
+
+
+@needs_cgen
+class TestKernelBinding:
+    """A matrix binds its array addresses for the compiled kernel once,
+    and rebinds them whenever one of its three arrays is rebound."""
+
+    def test_built_once_across_many_products(self, small_bcrs, monkeypatch):
+        from repro.sparse import bcrs
+
+        builds = []
+        bind = bcrs._bind_addresses
+        monkeypatch.setattr(
+            bcrs, "_bind_addresses", lambda A: builds.append(1) or bind(A)
+        )
+        reg = KernelRegistry()
+        X = np.ones((small_bcrs.n_cols, 4))
+        for _ in range(5):
+            reg.multiply(small_bcrs, X)
+            reg.multiply(small_bcrs, X[:, 0])
+        assert builds == [1]
+        assert small_bcrs.kernel_binding() == (
+            small_bcrs.nb_rows,
+            small_bcrs.row_ptr.ctypes.data,
+            small_bcrs.col_ind.ctypes.data,
+            small_bcrs.blocks.ctypes.data,
+        )
+
+    @pytest.mark.parametrize("field", ["blocks", "row_ptr", "col_ind"])
+    def test_rebinding_an_array_rebuilds_it(self, field):
+        # Two block rows of two blocks each; every rebinding below moves
+        # the product, so a kernel still reading the old array would
+        # miscompare.
+        A = BCRSMatrix(
+            row_ptr=np.array([0, 2, 4]),
+            col_ind=np.array([0, 1, 0, 1]),
+            blocks=np.arange(36.0).reshape(4, 3, 3),
+            nb_cols=2,
+        )
+        reg = KernelRegistry()
+        X = np.random.default_rng(0).standard_normal((A.n_cols, 3))
+        reg.multiply(A, X)
+        old = A.kernel_binding()
+        new = {
+            "blocks": 2.0 * A.blocks,
+            "row_ptr": np.array([0, 1, 4], dtype=np.int32),
+            "col_ind": np.array([1, 0, 0, 1], dtype=np.int32),
+        }[field]
+        before = bcrs_to_scipy(A) @ X
+        object.__setattr__(A, field, new)
+        expected = bcrs_to_scipy(A) @ X
+        assert not np.allclose(expected, before)
+        Y = reg.multiply(A, X)
+        assert A.kernel_binding() != old
+        np.testing.assert_allclose(Y, expected, rtol=1e-13)
+
+    def test_a_rebound_array_of_another_layout_is_refused(self, small_bcrs):
+        object.__setattr__(
+            small_bcrs, "col_ind", small_bcrs.col_ind.astype(np.int64)
+        )
+        with pytest.raises(ValueError, match="kernel binding"):
+            KernelRegistry().multiply(small_bcrs, np.ones(small_bcrs.n_cols))
+
+    def test_default_products_are_labelled_cgen(
+        self, small_bcrs, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(kernels, "_DEFAULT", KernelRegistry())
+        engines = []
+        record = TelemetryHub.record_gspmv
+
+        def spy_record(self, kind, *a):
+            engines.append(a[-1])
+            return record(self, kind, *a)
+
+        monkeypatch.setattr(TelemetryHub, "record_gspmv", spy_record)
+        hub = TelemetryHub(tmp_path)
+        _telemetry.install(hub)
+        try:
+            small_bcrs @ np.ones(small_bcrs.n_cols)
+            small_bcrs @ np.ones((small_bcrs.n_cols, 4))
+        finally:
+            hub.close()
+            _telemetry.uninstall()
+        assert engines == ["cgen", "cgen"]
 
 
 class TestEngineProfiles:
