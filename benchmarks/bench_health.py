@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
 from repro.health import HealthMonitor
-from repro.resilience import ResilienceExhausted, ResilientRunner, RetryPolicy
+from repro.resilience import ResilienceExhausted, ResilientRunner
 from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
 
@@ -103,7 +103,7 @@ def measure_rejection_drill() -> dict:
     driver = StokesianDynamics(system, SDParameters(dt=DRILL_DT), rng=4)
     monitor = HealthMonitor()
     runner = ResilientRunner(
-        driver, retry=RetryPolicy(max_retries=8), monitor=monitor
+        driver, max_retries=8, monitor=monitor
     )
     out = {}
     try:

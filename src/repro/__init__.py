@@ -36,12 +36,12 @@ Subpackages
     the multi-node GSPMV time model.
 ``repro.resilience``
     Checkpoint/restart (bit-exact resume), deterministic fault
-    injection, and the resilient runner with retry/degradation
-    policies.
+    injection, and the resilient runner that accepts, rejects,
+    retries, degrades and recovers steps (with MRHS chunk quarantine).
 ``repro.health``
-    Numerical health: invariant monitors over the simulation state,
-    graded verdicts, and the step acceptance/rejection controller with
-    MRHS chunk quarantine.
+    Numerical health: invariant checks over the simulation state and
+    the monitor that grades them; the resilient runner acts on its
+    verdicts.
 ``repro.telemetry``
     Observability: hierarchical span tracing, a metrics registry, and
     the measured-vs-model roofline report.
@@ -53,7 +53,6 @@ from repro.health import (
     HealthMonitor,
     HealthReport,
     Severity,
-    StepAcceptanceController,
     default_checks,
 )
 from repro.resilience import CheckpointManager, FaultPlan, FaultSpec
@@ -89,7 +88,6 @@ __all__ = [
     "HealthMonitor",
     "HealthReport",
     "Severity",
-    "StepAcceptanceController",
     "default_checks",
     "TelemetryHub",
     "NULL_HUB",

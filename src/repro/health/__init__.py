@@ -1,17 +1,13 @@
-"""Numerical health: invariant monitors and step acceptance.
+"""Numerical health: invariant checks and the monitor that runs them.
 
-The layer between "the solver converged" (solvers, PR 1) and "the
-process survived" (resilience, PR 2): watches the *physics* of the
-simulation state, grades violations (ok/warn/fatal), and lets the
-acceptance controller reject bad steps, back off ``dt``, or quarantine
-a poisoned MRHS chunk.  See DESIGN.md §10.
+The layer between "the solver converged" (solvers) and "the process
+survived" (resilience): watches the *physics* of the simulation state
+and grades violations (ok/warn/fatal).  It only judges; the
+:class:`~repro.resilience.runner.ResilientRunner` acts on its verdicts
+(rejects bad steps, backs off ``dt``, quarantines a poisoned MRHS
+chunk).  See DESIGN.md §10.
 """
 
-from repro.health.acceptance import (
-    StepAcceptanceController,
-    StepOutcome,
-    violation_traced_to_guess,
-)
 from repro.health.invariants import (
     BoxEscapeCheck,
     FiniteStateCheck,
@@ -41,7 +37,4 @@ __all__ = [
     "deepest_relative_overlap",
     "HealthMonitor",
     "HealthReport",
-    "StepAcceptanceController",
-    "StepOutcome",
-    "violation_traced_to_guess",
 ]

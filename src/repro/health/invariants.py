@@ -5,7 +5,7 @@ resilience layer (PR 2) certifies "the process survived" — neither
 certifies "the physics is still valid".  These checks close that gap:
 each one watches an invariant the discretized Stokesian dynamics must
 satisfy, costs a small fraction of a CG solve, and reports a graded
-verdict instead of raising, so the acceptance controller (not the
+verdict instead of raising, so the resilient runner (not the
 check) decides what to do about a violation.
 
 Catalogue (DESIGN.md §10):
@@ -218,7 +218,7 @@ class OverlapCheck(InvariantCheck):
         self.rel_tol = float(rel_tol)
         # The pair scan costs ~a neighbor search; the default cadence
         # keeps the whole catalogue under the 2%-of-step budget.  The
-        # acceptance controller still diagnoses overlap on every failed
+        # resilient runner still diagnoses overlap on every failed
         # step independently of this cadence.
         self.cadence = int(cadence)
 

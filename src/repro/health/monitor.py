@@ -5,7 +5,7 @@ cadence, and a :class:`HealthReport` — a bounded ring buffer of
 :class:`~repro.health.invariants.InvariantResult` with cumulative
 severity counters that survive ring eviction.  The monitor never raises
 and never mutates the simulation: drivers call ``observe_step`` /
-``observe_block`` after the fact, and the acceptance layer reads the
+``observe_block`` after the fact, and the resilient runner reads the
 verdicts to decide whether the step stands.
 
 The report serializes to the same NPZ-friendly state-tree the
@@ -338,7 +338,7 @@ class HealthMonitor:
     def rollback(self, step_index: int) -> None:
         """Withdraw everything observed at or after ``step_index``.
 
-        Called by the acceptance layer when a step is rejected: the
+        Called by the resilient runner when a step is rejected: the
         rolled-back state never happened, so neither did its
         observations (stateful checks drop their window entries too).
         """

@@ -10,10 +10,11 @@ Three cooperating pieces (DESIGN.md §9):
     Deterministic, seedable fault plans striking named sites in the
     drivers and the distributed layer; sites are cheap no-ops when no
     plan is armed.
-``repro.resilience.runner`` / ``repro.resilience.policies``
+``repro.resilience.runner``
     :class:`ResilientRunner` wraps either dynamics driver with bounded
-    step retry (dt backoff + heal), graceful MRHS m-degradation, and
-    periodic checkpoints.
+    step retry (dt backoff + heal, chunk quarantine), graceful MRHS
+    m-degradation, rank recovery, and periodic checkpoints; its one
+    budget knob is ``max_retries``, the rest are module constants.
 
 The runner module is imported lazily: the simulation drivers import
 ``repro.resilience.faults`` at module load, and an eager runner import
@@ -41,13 +42,6 @@ from repro.resilience.faults import (
     disarm,
     fire_fault,
 )
-from repro.resilience.policies import (
-    BackoffPolicy,
-    DegradePolicy,
-    RecoveryPolicy,
-    ResilienceExhausted,
-    RetryPolicy,
-)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -67,17 +61,15 @@ __all__ = [
     "armed",
     "disarm",
     "fire_fault",
-    "BackoffPolicy",
-    "DegradePolicy",
-    "RecoveryPolicy",
     "ResilienceExhausted",
-    "RetryPolicy",
     "ResilientRunner",
     "RunReport",
     "resume_driver",
 ]
 
-_LAZY_RUNNER = {"ResilientRunner", "RunReport", "resume_driver"}
+_LAZY_RUNNER = {
+    "ResilienceExhausted", "ResilientRunner", "RunReport", "resume_driver"
+}
 
 
 def __getattr__(name: str):

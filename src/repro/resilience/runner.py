@@ -1,12 +1,20 @@
 """Resilient execution of simulation drivers.
 
-:class:`ResilientRunner` wraps either Stokesian dynamics driver and
-adds the recovery machinery long campaigns need:
+:class:`ResilientRunner` wraps either Stokesian dynamics driver and is
+the one place a step is accepted, rejected, retried, degraded or
+recovered:
 
 * a pre-step **shadow snapshot** (in-memory ``get_state()``) so a step
-  that produces non-finite positions, overlapping particles, or a
-  numerical exception is rolled back and retried with ``dt`` backed
-  off — then healed back to the original ``dt`` after a healthy streak;
+  that raises a numerical exception, produces non-finite positions or
+  overlapping particles, or (with a
+  :class:`~repro.health.monitor.HealthMonitor`) draws a fatal invariant
+  verdict is rolled back — state, monitor observations and the
+  attempt's metrics — and retried with ``dt`` backed off, then healed
+  back to the original ``dt`` after a healthy streak;
+* **quarantine**: with a monitor, a violation traced to a stale MRHS
+  block solution discards the chunk's remaining initial guesses (the
+  chunk finishes on cold-start CG) and retries at the *same* ``dt``,
+  because the guess, not the step size, was the poison;
 * **graceful MRHS degradation**: a chunk whose auxiliary block solve
   breaks repeatedly is rewound and retried at ``m/2``, halving until it
   succeeds (recorded in ``ChunkRecord.degradations``).  The rewind is
@@ -20,6 +28,11 @@ adds the recovery machinery long campaigns need:
 The runner drives chunked drivers one time step at a time via
 ``begin_chunk``/``step_in_chunk``, so every policy (retry, checkpoint,
 abort) applies uniformly to both algorithms.
+
+Every budget is bounded: when one runs out the runner raises
+:class:`ResilienceExhausted` instead of looping forever.  Only the step
+retry budget is a parameter (``max_retries``); the rest are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -29,12 +42,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.health.acceptance import StepAcceptanceController
+import numpy as np
+
+from repro.health.invariants import deepest_relative_overlap
 from repro.health.monitor import HealthMonitor
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import (
     BlockSolveBroken,
     FaultEvent,
+    FaultInjected,
     FaultInjector,
     FaultPlan,
     RankFailure,
@@ -43,23 +59,60 @@ from repro.resilience.faults import (
     disarm,
     fire_fault,
 )
-from repro.resilience.policies import (
-    DegradePolicy,
-    RecoveryPolicy,
-    ResilienceExhausted,
-    RetryPolicy,
-)
 from repro.sparse.enginewatch import get_engine_watch
 import repro.telemetry as _telemetry
+from repro.telemetry import NULL_HUB
 from repro.telemetry import context as _obs
 
 __all__ = [
+    "ResilienceExhausted",
     "ResilientRunner",
     "RunReport",
     "resume_driver",
 ]
 
 logger = logging.getLogger(__name__)
+
+#: ``dt`` multiplier per rejected attempt, and its inverse per heal.
+DT_BACKOFF = 0.5
+#: Healthy steps in a row before ``dt`` is doubled back.
+HEAL_STREAK = 5
+#: Surface-gap slack (relative to the mean radius) below which a pair
+#: counts as overlapping.
+OVERLAP_TOL = 1e-9
+#: Block-solve attempts at one chunk size before ``m`` is halved.
+MAX_BLOCK_ATTEMPTS = 2
+#: Floor of the ``m``-halving ladder (1 = plain Algorithm 1 guesses).
+MIN_M = 1
+#: Total (driver + runner) rank recoveries allowed in a distributed run.
+MAX_RANK_RECOVERIES = 2
+#: Smallest cluster the runner shrinks a distributed run to.
+MIN_RANKS = 2
+
+
+class ResilienceExhausted(RuntimeError):
+    """All bounded recovery budgets were spent without a healthy step."""
+
+
+def violation_traced_to_guess(driver: Any, failure: str) -> bool:
+    """Is this step failure plausibly caused by a stale block solution?
+
+    True when the driver is mid-chunk past column 0 (column 0 is the
+    block solve's *exact* solution for step 0, so its failure cannot be
+    guess staleness), the chunk is not already quarantined, and either
+    the pending guess column is itself non-finite or the failure is a
+    finiteness violation (a poisoned guess seeds CG with garbage, and
+    CG preserves NaN).
+    """
+    pending = getattr(driver, "pending", None)
+    if pending is None or getattr(pending, "quarantined", False):
+        return False
+    if pending.k <= 0:
+        return False
+    guess = np.asarray(pending.U[:, pending.k])
+    if not np.isfinite(guess).all():
+        return True
+    return "finite" in failure
 
 
 @dataclass
@@ -70,9 +123,6 @@ class RunReport:
     retries: int = 0
     dt_backoffs: int = 0
     dt_heals: int = 0
-    backoff_seconds: float = 0.0
-    """Total retry backoff waited (seeded-jitter exponential; see
-    :class:`~repro.resilience.policies.BackoffPolicy`)."""
     final_dt: float = 0.0
     degradations: List[Tuple[int, int]] = field(default_factory=list)
     """``(chunk_index, m_after)`` per degradation event."""
@@ -103,11 +153,13 @@ class ResilientRunner:
         instance (fresh or restored via :func:`resume_driver`).  For a
         distributed driver the dt/particle machinery is inert;
         :class:`~repro.resilience.faults.RankFailure` handling (recover,
-        then degrade ``m``, bounded by ``recovery``) replaces it, and
-        the checkpoint cadence additionally writes the per-rank shard
-        wave recovery restores from.
-    retry, degrade, recovery:
-        Recovery policies (see :mod:`repro.resilience.policies`).
+        then degrade ``m``, bounded by :data:`MAX_RANK_RECOVERIES` and
+        :data:`MIN_RANKS`) replaces it, and the checkpoint cadence
+        additionally writes the per-rank shard wave recovery restores
+        from.
+    max_retries:
+        Consecutive rejected attempts of one step before
+        :class:`ResilienceExhausted`.
     manager:
         Optional checkpoint manager; with ``checkpoint_every > 0`` a
         checkpoint is written every that many completed steps, and each
@@ -127,10 +179,6 @@ class ResilientRunner:
         With ``False`` the monitor only *observes* (report still
         recorded and checkpointed) and step rejection falls back to the
         exception/state-screen diagnosis alone.
-    sleep:
-        Injectable wait callable for retry backoff (see
-        :class:`~repro.resilience.policies.BackoffPolicy`); defaults to
-        :func:`time.sleep`.
     memory_guard:
         Optional :class:`~repro.resources.governor.MemoryGuard`.  When
         given, every healthy step polls it; a new RSS-watermark breach
@@ -144,15 +192,12 @@ class ResilientRunner:
         self,
         driver: Any,
         *,
-        retry: RetryPolicy = RetryPolicy(),
-        degrade: DegradePolicy = DegradePolicy(),
-        recovery: RecoveryPolicy = RecoveryPolicy(),
+        max_retries: int = 3,
         manager: Optional[CheckpointManager] = None,
         checkpoint_every: int = 0,
         injector: Optional[Union[FaultInjector, FaultPlan]] = None,
         monitor: Optional[HealthMonitor] = None,
         reject_on_fatal: bool = True,
-        sleep: Optional[Any] = None,
         memory_guard: Optional[Any] = None,
     ) -> None:
         self._distributed = hasattr(driver, "shard_states") and hasattr(
@@ -174,13 +219,14 @@ class ResilientRunner:
                 "driver must be StokesianDynamics, MrhsStokesianDynamics, "
                 f"or DistributedSimulation (got {type(driver).__name__})"
             )
+        if max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if checkpoint_every and manager is None:
             raise ValueError("checkpoint_every requires a CheckpointManager")
         self.driver = driver
-        self.retry = retry
-        self.degrade = degrade
+        self.max_retries = int(max_retries)
         self.manager = manager
         self.checkpoint_every = int(checkpoint_every)
         self.injector: Optional[FaultInjector] = (
@@ -189,26 +235,20 @@ class ResilientRunner:
             else FaultInjector(injector)
         )
         self.monitor = monitor
+        # Fatal verdicts reject steps (and traced ones quarantine the
+        # chunk) only with a monitor that is not observe-only.
+        self._reject_on_fatal = monitor is not None and bool(reject_on_fatal)
         self.memory_guard = memory_guard
-        self.recovery_policy = recovery
         self._streak = 0
         self._saved_step: Optional[int] = None
         if self._distributed:
             # No dt to back off and no particle screen: the distributed
             # accept/reject loop is RankFailure -> recover/degrade.
             self._original_dt = 0.0
-            self._controller = None
         else:
             self._original_dt = float(self._sd().params.dt)
             if monitor is not None:
                 self._sd().health = monitor
-            self._controller = StepAcceptanceController(
-                driver,
-                retry=retry,
-                monitor=monitor,
-                reject_on_fatal=reject_on_fatal,
-                sleep=sleep,
-            )
         # Engine watchdog wiring: kernel demotions and miscompares get
         # stamped with the step index, and (with a monitor) surface in
         # the same health report as the physics invariants.
@@ -233,6 +273,41 @@ class ResilientRunner:
             return
         sd = self._sd()
         sd.params = replace(sd.params, dt=dt)
+
+    def _metrics(self):
+        return getattr(self._sd(), "telemetry", NULL_HUB).metrics
+
+    def _rollback(self, state: Any, metrics_snapshot: Any) -> None:
+        """Undo one rejected attempt — a step or a broken block solve:
+        restore the driver ``state``, withdraw the monitor's
+        observations from the restored step on, and withdraw the
+        metrics recorded since ``metrics_snapshot``, so metrics and
+        health reports track the accepted timeline."""
+        self.driver.set_state(state)
+        if self.monitor is not None:
+            self.monitor.rollback(self.step_index)
+        self._metrics().restore(metrics_snapshot)
+
+    def _diagnose(self, step_at: int) -> Optional[Tuple[str, Optional[str]]]:
+        """Post-step verdict: ``None`` (accept) or ``(failure, check)``.
+
+        ``check`` is the violated invariant's name when the monitor
+        produced the verdict, ``None`` for the baseline state screen.
+        """
+        sd = self._sd()
+        if not np.isfinite(sd.system.positions).all():
+            return "non-finite positions", None
+        if deepest_relative_overlap(sd.system) > OVERLAP_TOL:
+            return "overlapping particles", None
+        if self._reject_on_fatal:
+            fatal = self.monitor.fatal_for(step_at)
+            if fatal is not None:
+                return (
+                    f"invariant '{fatal.check}' violated at step "
+                    f"{step_at}: {fatal.message}",
+                    fatal.check,
+                )
+        return None
 
     # ------------------------------------------------------------------
     def run_steps(
@@ -322,32 +397,32 @@ class ResilientRunner:
     def _begin_chunk_resilient(self, m_target: int, report: RunReport) -> None:
         """Block solve with rewind + m-halving on repeated breakdown.
 
-        A broken attempt is undone by the step acceptance controller's
-        rollback (driver state, monitor and the attempt's metrics), so
-        the counters track the accepted timeline.
+        A broken attempt is undone by the same rollback as a rejected
+        step (driver state, monitor and the attempt's metrics), so the
+        counters track the accepted timeline.
         """
         shadow = self.driver.get_state()
         m = int(m_target)
         attempts = 0
         degradations: List[int] = []
         while True:
-            metrics_shadow = self._controller.metrics_snapshot()
+            metrics_shadow = self._metrics().snapshot()
             try:
                 pending = self.driver.begin_chunk(m)
             except BlockSolveBroken as exc:
-                self._controller.rollback(shadow, metrics_shadow)
+                self._rollback(shadow, metrics_shadow)
                 attempts += 1
                 logger.warning(
                     "block solve broke down (attempt %d at m=%d): %s",
                     attempts, m, exc,
                 )
-                if attempts >= self.degrade.max_block_attempts:
-                    if m <= self.degrade.min_m:
+                if attempts >= MAX_BLOCK_ATTEMPTS:
+                    if m <= MIN_M:
                         raise ResilienceExhausted(
                             f"block solve kept breaking down at m={m} "
-                            f"(floor {self.degrade.min_m})"
+                            f"(floor {MIN_M})"
                         ) from exc
-                    m = max(self.degrade.min_m, m // 2)
+                    m = max(MIN_M, m // 2)
                     degradations.append(m)
                     telemetry = getattr(self._sd(), "telemetry", None)
                     if telemetry is not None:
@@ -370,10 +445,9 @@ class ResilientRunner:
         The driver spends its own recovery budget first (transparent
         failover inside ``driver.step()``).  A :class:`RankFailure`
         that escapes it is handled here: while the total recovery count
-        is under :class:`~repro.resilience.policies.RecoveryPolicy`'s
-        cap and enough ranks survive, the runner degrades ``m`` (per
-        the :class:`~repro.resilience.policies.DegradePolicy` floor) to
-        shed halo-exchange pressure on the shrunken cluster, then
+        is under :data:`MAX_RANK_RECOVERIES` and at least
+        :data:`MIN_RANKS` ranks survive, the runner degrades ``m`` (down
+        to :data:`MIN_M`) to shed halo-exchange pressure on the shrunken cluster, then
         recovers and retries — m-degradation and rank recovery
         *compose* instead of the former bypassing the latter.
         """
@@ -385,16 +459,16 @@ class ResilientRunner:
                 done = len(self.driver.recoveries)
                 survivors = self.driver.n_parts - len(exc.ranks)
                 if (
-                    done >= self.recovery_policy.max_rank_recoveries
-                    or survivors < self.recovery_policy.min_ranks
+                    done >= MAX_RANK_RECOVERIES
+                    or survivors < MIN_RANKS
                 ):
                     raise ResilienceExhausted(
                         f"rank(s) {list(exc.ranks)} failed at step "
                         f"{self.step_index} with {done} recoveries spent "
                         f"and {survivors} survivors"
                     ) from exc
-                if self.driver.m > self.degrade.min_m:
-                    new_m = max(self.degrade.min_m, self.driver.m // 2)
+                if self.driver.m > MIN_M:
+                    new_m = max(MIN_M, self.driver.m // 2)
                     self.driver.degrade_m(new_m)
                     report.degradations.append((self.step_index, new_m))
                     logger.warning(
@@ -424,24 +498,96 @@ class ResilientRunner:
             return
 
     def _attempt_step(self, report: RunReport) -> None:
-        """One healthy step, retrying with dt backoff on bad outcomes.
+        """Advance one accepted step, rejecting and retrying as needed.
 
-        The accept/reject/retry loop itself lives in
-        :class:`~repro.health.acceptance.StepAcceptanceController`;
-        this method only folds its outcome into the run report.
+        Each attempt is diagnosed three ways: a numerical exception from
+        the solvers, the state screen (non-finite positions, overlapping
+        particles), and — with a monitor that may reject — a fatal
+        invariant verdict for the step.  A rejected attempt is rolled
+        back and retried, with ``dt`` scaled by :data:`DT_BACKOFF` unless
+        the violation is traced to a stale block solution, which
+        quarantines the chunk instead.  Raises
+        :class:`ResilienceExhausted` after ``max_retries`` retries and
+        lets :class:`FaultInjected` (deliberate drill faults) propagate.
+        An MRHS chunk whose last step this is is frozen only once the
+        step is accepted, so a rejection rolls back into the live chunk.
         """
         self._watch.current_step = self.step_index
         if self._distributed:
             self._attempt_step_distributed(report)
             return
-        outcome = self._controller.attempt_step()
-        report.retries += outcome.retries
-        report.dt_backoffs += outcome.dt_backoffs
-        report.backoff_seconds += outcome.backoff_seconds
-        report.quarantines += outcome.quarantines
-        report.rejected_checks.extend(outcome.rejected_checks)
-        if outcome.retries:
+        shadow = self.driver.get_state()
+        shadow_dt = float(self._sd().params.dt)
+        metrics = self._metrics()
+        retries = 0
+        backoffs = 0
+        while True:
+            # Snapshot per attempt: a rejection withdraws the metrics of
+            # *this* attempt only (mirroring monitor.rollback), keeping
+            # the rejection counters of earlier attempts intact.
+            metrics_shadow = metrics.snapshot()
+            step_at = self.step_index
+            failure: Optional[str] = None
+            check: Optional[str] = None
+            try:
+                if self._chunked:
+                    self.driver.step_in_chunk(finish=False)
+                else:
+                    self.driver.step()
+            except FaultInjected:
+                raise
+            except (ValueError, RuntimeError, ArithmeticError,
+                    np.linalg.LinAlgError) as exc:
+                failure = f"step raised {type(exc).__name__}: {exc}"
+            if failure is None:
+                verdict = self._diagnose(step_at)
+                if verdict is not None:
+                    failure, check = verdict
+            if failure is None:
+                pending = self.driver.pending if self._chunked else None
+                if pending is not None:
+                    pending.retries += retries
+                    if pending.k == pending.m:
+                        self.driver.finish_chunk()
+                return
+            if check is not None:
+                report.rejected_checks.append(check)
+            if retries >= self.max_retries:
+                raise ResilienceExhausted(
+                    f"step {self.step_index} failed after "
+                    f"{retries} retries: {failure}"
+                )
+            self._rollback(shadow, metrics_shadow)
+            metrics.counter("steps.rejected").inc()
+            retries += 1
+            report.retries += 1
             self._streak = 0
+            if (
+                self._reject_on_fatal
+                and self._chunked
+                and violation_traced_to_guess(self.driver, failure)
+            ):
+                # The block solution, not the step size, is the poison:
+                # quarantine the chunk and retry at the same dt.
+                self.driver.quarantine_chunk(reason=failure)
+                report.quarantines += 1
+                logger.warning(
+                    "step %d rejected (%s); violation traced to a stale "
+                    "block solution — chunk %d quarantined, retry %d on "
+                    "cold-start CG",
+                    step_at, failure,
+                    self.driver.pending.chunk_index, retries,
+                )
+            else:
+                backoffs += 1
+                report.dt_backoffs += 1
+                metrics.counter("steps.dt_backoffs").inc()
+                new_dt = shadow_dt * DT_BACKOFF**backoffs
+                self._set_dt(new_dt)
+                logger.warning(
+                    "step %d rejected (%s); retry %d with dt=%.3g",
+                    step_at, failure, retries, new_dt,
+                )
 
     def _after_healthy_step(self, report: RunReport) -> None:
         # Heal dt back toward the original after a healthy streak.
@@ -450,9 +596,9 @@ class ResilientRunner:
         if (
             not self._distributed
             and current_dt < self._original_dt
-            and self._streak >= self.retry.heal_streak
+            and self._streak >= HEAL_STREAK
         ):
-            healed = min(self._original_dt, current_dt / self.retry.dt_backoff)
+            healed = min(self._original_dt, current_dt / DT_BACKOFF)
             self._set_dt(healed)
             report.dt_heals += 1
             self._streak = 0
@@ -558,8 +704,6 @@ def resume_driver(
     runner), the hub's counters are restored from it so they continue
     monotonically across the kill boundary.
     """
-    from repro.telemetry import NULL_HUB
-
     hub = NULL_HUB if telemetry is None else telemetry
     if hub.enabled and "telemetry" in state:
         hub.metrics.load_state(state["telemetry"])

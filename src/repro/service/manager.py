@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.resilience.faults import (
     FaultEvent,
     FaultInjector,
@@ -47,11 +49,7 @@ from repro.resilience.faults import (
     disarm,
     fire_fault,
 )
-from repro.resilience.policies import (
-    BackoffPolicy,
-    ResilienceExhausted,
-    RetryPolicy,
-)
+from repro.resilience.runner import ResilienceExhausted
 from repro.resources.governor import MemoryGuard
 from repro.service.clock import ServiceClock
 from repro.service.errors import ManagerKilled
@@ -80,6 +78,24 @@ __all__ = [
 _LIVE = (JobState.ADMITTED, JobState.RUNNING, JobState.PREEMPTED)
 
 
+def _crash_backoff(attempt: int, job_id: int) -> float:
+    """Ticks a job waits after its ``attempt``-th crash (1-based).
+
+    ``2 * 2**(attempt-1)`` capped at 64, scaled by a jitter factor drawn
+    uniformly from ``[0.75, 1.25]``.  The draw is a pure function of
+    ``(0, job_id, attempt)`` hashed through
+    :class:`numpy.random.SeedSequence`, so a replayed journal waits the
+    identical ticks, whatever order the jobs crash in.
+    """
+    if attempt < 1:
+        raise ValueError("attempt is 1-based")
+    raw = min(64.0, 2.0 * 2.0 ** (attempt - 1))
+    rng = np.random.default_rng(
+        np.random.SeedSequence([0, int(job_id) & 0x7FFFFFFF, attempt])
+    )
+    return raw * float(rng.uniform(0.75, 1.25))
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Scheduler knobs.  Everything is deterministic: time is logical
@@ -98,12 +114,6 @@ class ServiceConfig:
     across admitted-but-unfinished jobs; ``None`` disables it."""
     max_attempts: int = 3
     """Job-level attempt budget (worker crashes, in-job exhaustion)."""
-    backoff: BackoffPolicy = field(
-        default_factory=lambda: BackoffPolicy(
-            base=2.0, multiplier=2.0, cap=64.0, jitter=0.25, seed=0
-        )
-    )
-    """Retry backoff in *ticks* between attempts of a crashed job."""
     aging_rate: float = 0.05
     """Priority gained per tick of queue wait (starvation-freedom)."""
     checkpoint_every: int = 4
@@ -112,8 +122,6 @@ class ServiceConfig:
     keep_warm: bool = True
     """Keep a preempted job's driver in memory; ``False`` drops it and
     resumes from its checkpoint (slower, smaller footprint)."""
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    """Step-level retry policy handed to each job's runner."""
     fsync_journal: bool = False
     slo: Optional[SLOPolicy] = field(default_factory=SLOPolicy)
     """Per-tenant SLO accounting; ``None`` disables the tracker."""
@@ -436,10 +444,6 @@ class JobManager:
                 job.spec,
                 self._job_dir(job.job_id),
                 checkpoint_every=self.config.checkpoint_every,
-                retry=self.config.retry,
-                # Step-level retry backoff is *virtual* inside the
-                # service (accounted in the run report, never slept).
-                sleep=lambda _s: None,
                 governor=governor,
                 # Namespace the shared spill directory per job: two
                 # jobs' checkpoints carry the same prefix-step names.
@@ -932,7 +936,7 @@ class JobManager:
                     job_id=job.job_id,
                 )
             return
-        delay = self.config.backoff.delay(job.attempts, key=job.job_id)
+        delay = _crash_backoff(job.attempts, job.job_id)
         job.next_eligible_tick = self.clock.now + max(1, math.ceil(delay))
         self.journal.append(
             {

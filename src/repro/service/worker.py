@@ -61,8 +61,6 @@ class JobWorker:
         directory: Union[str, Path],
         *,
         checkpoint_every: int = 4,
-        retry: Optional[Any] = None,
-        sleep: Optional[Any] = None,
         governor: Optional[Any] = None,
         spill_dir: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -71,8 +69,6 @@ class JobWorker:
             Path(directory), governor=governor, spill_dir=spill_dir
         )
         self.checkpoint_every = int(checkpoint_every)
-        self._retry = retry
-        self._sleep = sleep
         self._runner: Optional[ResilientRunner] = None
 
     # ------------------------------------------------------------------
@@ -84,14 +80,11 @@ class JobWorker:
             driver = resume_driver(state)
         except FileNotFoundError:
             driver = _fresh_driver(self.spec)
-        kwargs = {} if self._retry is None else {"retry": self._retry}
         return ResilientRunner(
             driver,
             manager=self.checkpoints,
             checkpoint_every=self.checkpoint_every,
             injector=None,  # polls the manager's single armed injector
-            sleep=self._sleep,
-            **kwargs,
         )
 
     @property

@@ -11,8 +11,7 @@ large-problem path is iterative:
   for systems with multiple right-hand sides; each iteration performs
   one GSPMV with ``m`` vectors, which is what makes the MRHS auxiliary
   solve cheap;
-* :mod:`repro.solvers.precond` — Jacobi and block-Jacobi
-  preconditioners;
+* :mod:`repro.solvers.precond` — the block-Jacobi preconditioner;
 * :mod:`repro.solvers.chol` — dense Cholesky factorization with factor
   reuse (the paper's small-problem path, including its "reuse the factor
   from step 2 for step 3" optimization);
@@ -36,11 +35,7 @@ from repro.solvers.diagnostics import (
     RestartEvent,
     SolveDiagnostics,
 )
-from repro.solvers.precond import (
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-    BlockJacobiPreconditioner,
-)
+from repro.solvers.precond import BlockJacobiPreconditioner
 from repro.solvers.chol import CholeskySolver
 from repro.solvers.refine import iterative_refinement
 from repro.solvers.recycle import RecyclingCG
@@ -55,8 +50,6 @@ __all__ = [
     "ConvergenceMonitor",
     "RestartEvent",
     "SolveDiagnostics",
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
     "BlockJacobiPreconditioner",
     "CholeskySolver",
     "iterative_refinement",

@@ -7,7 +7,7 @@ against ~16 at 10%.  A block-Jacobi preconditioner exploits the natural
 3x3 block structure: each particle's self-interaction block is inverted
 exactly.
 
-All preconditioners are callables applying ``M^{-1}`` and work on both
+The preconditioner is a callable applying ``M^{-1}`` and works on both
 vectors and ``(n, m)`` multivectors, so the same object serves CG and
 block CG.
 """
@@ -18,38 +18,7 @@ import numpy as np
 
 from repro.sparse.bcrs import BCRSMatrix
 
-__all__ = [
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "BlockJacobiPreconditioner",
-]
-
-
-class IdentityPreconditioner:
-    """No-op preconditioner (``M = I``)."""
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return v.copy()
-
-
-class JacobiPreconditioner:
-    """Diagonal (point Jacobi) preconditioner.
-
-    ``M = diag(A)``; zero diagonal entries are treated as 1 so the
-    operator is always invertible.
-    """
-
-    def __init__(self, A: BCRSMatrix) -> None:
-        diag_blocks = A.diagonal_blocks()
-        diag = np.einsum("kii->ki", diag_blocks).reshape(-1)
-        diag = np.where(diag != 0.0, diag, 1.0)
-        self._inv_diag = 1.0 / diag
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.ndim == 1:
-            return self._inv_diag * v
-        return self._inv_diag[:, None] * v
+__all__ = ["BlockJacobiPreconditioner"]
 
 
 class BlockJacobiPreconditioner:

@@ -211,7 +211,7 @@ class StokesianDynamics:
         attached, every completed step is observed (positions, Brownian
         forces, velocities, realized displacement, spectrum bounds).
         The driver only *reports* — acting on verdicts is the
-        acceptance controller's job."""
+        resilient runner's job."""
         self._cached_bounds: Optional[tuple[float, float]] = None
         self._bounds_age = 0
         self._configs = _ConfigurationCache()

@@ -11,7 +11,7 @@ loop:
   metric by name plus sorted labels (``"gspmv.seconds{m=4}"``), which
   is how per-``m`` GSPMV aggregates stay separable for the roofline
   report without a cardinality explosion.
-* **Snapshot/restore** — the step acceptance controller snapshots the
+* **Snapshot/restore** — the resilient runner snapshots the
   registry before each step attempt and restores it when the step is
   rejected, so metrics from rolled-back steps are withdrawn exactly
   like the health monitor's observations.

@@ -23,7 +23,8 @@ from repro.resilience.faults import (
     arm,
     disarm,
 )
-from repro.resilience.policies import RecoveryPolicy, ResilienceExhausted
+from repro.resilience import runner as runner_mod
+from repro.resilience.runner import ResilienceExhausted
 from repro.resilience.runner import ResilientRunner
 from tests.conftest import random_bcrs
 
@@ -286,7 +287,6 @@ class TestRunnerComposition:
             sim,
             manager=sim.recovery.manager,
             checkpoint_every=2,
-            recovery=RecoveryPolicy(max_rank_recoveries=2, min_ranks=2),
         )
         report = runner.run_steps(10)
         assert report.steps_completed == 10
@@ -295,7 +295,8 @@ class TestRunnerComposition:
         assert report.rank_recoveries  # the runner-level one is recorded
         assert report.degradations  # runner degraded before recovering
 
-    def test_runner_policy_exhaustion(self, tmp_path):
+    def test_runner_policy_exhaustion(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner_mod, "MAX_RANK_RECOVERIES", 1)
         plan = ChannelFaultPlan(
             specs=(
                 ChannelFaultSpec(kind="crash", rank=1, at={"step": 2}),
@@ -307,7 +308,6 @@ class TestRunnerComposition:
             sim,
             manager=sim.recovery.manager,
             checkpoint_every=1,
-            recovery=RecoveryPolicy(max_rank_recoveries=1, min_ranks=2),
         )
         with pytest.raises(ResilienceExhausted):
             runner.run_steps(10)
@@ -326,7 +326,6 @@ class TestRunnerComposition:
             sim,
             manager=sim.recovery.manager,
             checkpoint_every=1,
-            recovery=RecoveryPolicy(max_rank_recoveries=2, min_ranks=2),
         )
         with pytest.raises(ResilienceExhausted, match="rank"):
             runner.run_steps(6)
@@ -343,13 +342,6 @@ class TestRunnerComposition:
 
 
 class TestRecoveryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(max_rank_recoveries=-1)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(min_ranks=0)
-
     def test_defaults(self):
-        pol = RecoveryPolicy()
-        assert pol.max_rank_recoveries >= 1
-        assert pol.min_ranks >= 1
+        assert runner_mod.MAX_RANK_RECOVERIES >= 1
+        assert runner_mod.MIN_RANKS >= 1

@@ -13,10 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
-from repro.health.acceptance import (
-    StepAcceptanceController,
-    violation_traced_to_guess,
-)
 from repro.health.invariants import (
     FluctuationDissipationCheck,
     HealthContext,
@@ -29,8 +25,8 @@ from repro.resilience import (
     FaultSpec,
     ResilienceExhausted,
     ResilientRunner,
-    RetryPolicy,
 )
+from repro.resilience.runner import violation_traced_to_guess
 from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
 
@@ -66,58 +62,45 @@ class _AlwaysFatal(InvariantCheck):
 
 
 class TestControllerParity:
-    """Without a monitor the controller reproduces the legacy runner
-    retry loop exactly."""
+    """Without a monitor the runner's retry loop rejects on exceptions
+    and the state screen alone."""
 
     def test_nan_step_retried_with_backoff(self):
         driver = _sd()
-        controller = StepAcceptanceController(driver)
-        from repro.resilience.faults import armed
-
-        with armed(_nan_plan(step=1)):
-            controller.attempt_step()
-            outcome = controller.attempt_step()
-        assert outcome.retries == 1
-        assert outcome.dt_backoffs == 1
-        assert outcome.quarantines == 0
+        runner = ResilientRunner(driver, injector=_nan_plan(step=1))
+        report = runner.run_steps(2)
+        assert report.retries == 1
+        assert report.dt_backoffs == 1
+        assert report.quarantines == 0
         assert np.isfinite(driver.system.positions).all()
 
     def test_exhaustion_message_names_step_and_failure(self):
         driver = _sd()
-        controller = StepAcceptanceController(
-            driver, retry=RetryPolicy(max_retries=1)
+        runner = ResilientRunner(
+            driver, max_retries=1, injector=_nan_plan(step=0, times=None)
         )
-        from repro.resilience.faults import armed
-
-        with armed(_nan_plan(step=0, times=None)):
-            with pytest.raises(
-                ResilienceExhausted, match=r"failed after 1 retries"
-            ):
-                controller.attempt_step()
+        with pytest.raises(
+            ResilienceExhausted, match=r"failed after 1 retries"
+        ):
+            runner.run_steps(1)
 
 
 class TestMonitorDrivenRejection:
     def test_fatal_verdict_rejects_even_without_exception(self):
         driver = _sd()
         monitor = HealthMonitor([_AlwaysFatal()])
-        driver.health = monitor
-        controller = StepAcceptanceController(
-            driver, retry=RetryPolicy(max_retries=2), monitor=monitor
-        )
+        runner = ResilientRunner(driver, max_retries=2, monitor=monitor)
         with pytest.raises(ResilienceExhausted, match="always-fatal"):
-            controller.attempt_step()
+            runner.run_steps(1)
         # The abort message names the invariant and the offending step.
         assert driver.step_index <= 3
 
     def test_rejection_rolls_back_monitor_observations(self):
         driver = _sd()
         monitor = HealthMonitor([_AlwaysFatal()])
-        driver.health = monitor
-        controller = StepAcceptanceController(
-            driver, retry=RetryPolicy(max_retries=1), monitor=monitor
-        )
+        runner = ResilientRunner(driver, max_retries=1, monitor=monitor)
         with pytest.raises(ResilienceExhausted):
-            controller.attempt_step()
+            runner.run_steps(1)
         assert monitor.report.rollbacks > 0
 
 
@@ -194,9 +177,7 @@ class TestMisparameterizedRun:
         monitor = HealthMonitor(
             [FluctuationDissipationCheck(window=4, band_slack=1e12)]
         )
-        runner = ResilientRunner(
-            driver, retry=RetryPolicy(max_retries=8), monitor=monitor
-        )
+        runner = ResilientRunner(driver, max_retries=8, monitor=monitor)
         try:
             report = runner.run_steps(12)
         except ResilienceExhausted as exc:

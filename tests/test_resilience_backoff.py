@@ -1,140 +1,60 @@
-"""Seeded-jitter exponential backoff (resilience + service layers).
+"""Seeded-jitter exponential backoff of crashed service jobs.
 
-Satellite contract: retries wait ``base * multiplier^(attempt-1)``
-capped at ``cap``, scaled by a seeded jitter factor — deterministic
-under a fixed seed, and actually honoured by the step-retry path in
-:class:`~repro.health.acceptance.StepAcceptanceController`.
+A job that crashes waits ``2 * 2^(attempt-1)`` ticks, capped at 64,
+scaled by a jitter factor in ``[0.75, 1.25]`` drawn from
+``SeedSequence([0, job_id, attempt])`` — deterministic, so a replayed
+journal waits the identical ticks.
 """
 
-import numpy as np
 import pytest
 
-from repro.resilience import (
-    BackoffPolicy,
-    FaultPlan,
-    FaultSpec,
-    ResilientRunner,
-    RetryPolicy,
-)
-from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
-from repro.stokesian.dynamics import SDParameters
-from repro.stokesian.packing import random_configuration
+from repro.service.manager import _crash_backoff
+
+#: ``_crash_backoff(attempt, job_id)`` for attempts 1..7 of jobs 0..3,
+#: recorded from the schedule the service has always used.
+PINNED = {
+    0: [1.9492388188116676, 4.24508588166057, 9.058018751186387,
+        19.936864234971114, 39.371693580837075, 69.2016043405956,
+        52.14773517098801],
+    1: [2.3486500432887727, 4.763407076967465, 9.561784360671922,
+        13.798373099778706, 30.128134905648967, 54.3484329311793,
+        63.024305758648794],
+    2: [2.018993270575913, 3.1035881131714564, 8.110860451349126,
+        18.203776202115602, 36.717402828837486, 50.44298290869345,
+        71.4073921516354],
+    3: [1.5326659264785323, 4.862809922795306, 6.118060654690607,
+        15.458488585085918, 29.736621883947066, 56.5427117579992,
+        72.84200891098568],
+}
 
 
 class TestBackoffPolicy:
-    def test_exponential_growth_and_cap(self):
-        policy = BackoffPolicy(base=1.0, multiplier=2.0, cap=5.0, jitter=0.0)
-        assert [policy.delay(a) for a in (1, 2, 3, 4)] == [
-            1.0, 2.0, 4.0, 5.0
-        ]
+    def test_pinned_schedule(self):
+        for job_id, delays in PINNED.items():
+            assert [
+                _crash_backoff(a, job_id) for a in range(1, 8)
+            ] == delays
 
-    def test_zero_base_disables_waiting(self):
-        policy = BackoffPolicy()  # base defaults to 0.0: legacy behavior
-        assert policy.delay(1) == 0.0 and policy.delay(9) == 0.0
+    def test_exponential_growth_and_cap(self):
+        for attempt in range(1, 12):
+            raw = min(64.0, 2.0 * 2.0 ** (attempt - 1))
+            delay = _crash_backoff(attempt, 5)
+            assert 0.75 * raw <= delay <= 1.25 * raw
 
     def test_jitter_is_deterministic_under_seed(self):
-        policy = BackoffPolicy(base=1.0, jitter=0.5, seed=42)
-        again = BackoffPolicy(base=1.0, jitter=0.5, seed=42)
-        delays = [policy.delay(a, key=7) for a in (1, 2, 3)]
-        assert delays == [again.delay(a, key=7) for a in (1, 2, 3)]
+        delays = [_crash_backoff(a, 7) for a in (1, 2, 3)]
+        assert delays == [_crash_backoff(a, 7) for a in (1, 2, 3)]
 
     def test_jitter_varies_with_seed_key_and_attempt(self):
-        base = BackoffPolicy(base=1.0, jitter=0.5, seed=0)
-        assert base.delay(1, key=1) != base.delay(1, key=2)
-        assert base.delay(1, key=1) != BackoffPolicy(
-            base=1.0, jitter=0.5, seed=1
-        ).delay(1, key=1)
+        assert _crash_backoff(1, 1) != _crash_backoff(1, 2)
+        # Same un-jittered delay (the cap), different draws.
+        assert _crash_backoff(8, 1) != _crash_backoff(9, 1)
 
     def test_jitter_bounded(self):
-        policy = BackoffPolicy(base=2.0, multiplier=1.0, jitter=0.25, seed=3)
-        for attempt in range(1, 20):
-            delay = policy.delay(attempt, key=attempt)
+        for job_id in range(20):
+            delay = _crash_backoff(1, job_id)
             assert 1.5 <= delay <= 2.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BackoffPolicy(base=-1.0)
-        with pytest.raises(ValueError):
-            BackoffPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            BackoffPolicy(jitter=1.5)
-        with pytest.raises(ValueError):
-            BackoffPolicy(base=1.0, cap=0.5).delay(0)
-
-
-class TestRunnerBackoffIntegration:
-    def _driver(self, seed=0):
-        system = random_configuration(10, 0.2, rng=seed)
-        return MrhsStokesianDynamics(
-            system, SDParameters(), MrhsParameters(m=2), rng=seed + 1
-        )
-
-    def test_retry_waits_through_injected_sleep(self):
-        """A nan-corrupted step retries behind the policy's delay; the
-        runner records the wait and calls the injected sleep."""
-        waited = []
-        retry = RetryPolicy(
-            backoff=BackoffPolicy(base=0.5, jitter=0.0)
-        )
-        runner = ResilientRunner(
-            self._driver(),
-            retry=retry,
-            injector=FaultPlan(
-                specs=(
-                    FaultSpec(
-                        site="brownian.forcing", kind="nan",
-                        at={"step": 1}, times=1,
-                    ),
-                )
-            ),
-            sleep=waited.append,
-        )
-        report = runner.run_steps(3)
-        assert report.steps_completed == 3
-        assert report.retries >= 1
-        assert waited and waited[0] == 0.5
-        assert report.backoff_seconds == pytest.approx(sum(waited))
-
-    def test_default_policy_never_sleeps(self):
-        """Immediate-retry default: no behavior change for existing
-        users (base=0 -> zero delay, sleep never called)."""
-        called = []
-        runner = ResilientRunner(
-            self._driver(),
-            injector=FaultPlan(
-                specs=(
-                    FaultSpec(
-                        site="brownian.forcing", kind="nan",
-                        at={"step": 1}, times=1,
-                    ),
-                )
-            ),
-            sleep=called.append,
-        )
-        report = runner.run_steps(2)
-        assert report.retries >= 1
-        assert called == [] and report.backoff_seconds == 0.0
-
-    def test_backoff_does_not_change_trajectory(self):
-        """Waiting is pure dead time: the recovered trajectory with
-        backoff bit-matches the one with immediate retries."""
-        def run(policy):
-            runner = ResilientRunner(
-                self._driver(),
-                retry=RetryPolicy(backoff=policy),
-                injector=FaultPlan(
-                    specs=(
-                        FaultSpec(
-                            site="brownian.forcing", kind="nan",
-                            at={"step": 1}, times=1,
-                        ),
-                    )
-                ),
-                sleep=lambda _s: None,
-            )
-            runner.run_steps(3)
-            return runner.driver.sd.system.positions.copy()
-
-        fast = run(BackoffPolicy())
-        slow = run(BackoffPolicy(base=1.0, jitter=0.3, seed=5))
-        np.testing.assert_array_equal(fast, slow)
+            _crash_backoff(0, 1)

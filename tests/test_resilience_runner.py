@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
+from repro.resilience import runner as runner_mod
 from repro.resilience import (
     CheckpointManager,
-    DegradePolicy,
     FaultPlan,
     FaultSpec,
     ResilienceExhausted,
     ResilientRunner,
-    RetryPolicy,
     SimulationKilled,
     resume_driver,
 )
@@ -62,13 +61,10 @@ class TestStepRetry:
         # the fault's budget is spent, so the retried step is clean.
         assert len(report.faults) == 1
 
-    def test_dt_heals_after_streak(self):
+    def test_dt_heals_after_streak(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "HEAL_STREAK", 2)
         dt0 = SDParameters().dt
-        runner = ResilientRunner(
-            _sd(),
-            retry=RetryPolicy(heal_streak=2),
-            injector=_nan_plan(step=1),
-        )
+        runner = ResilientRunner(_sd(), injector=_nan_plan(step=1))
         report = runner.run_steps(6)
         assert report.dt_heals >= 1
         assert float(runner.driver.params.dt) == pytest.approx(dt0)
@@ -76,7 +72,7 @@ class TestStepRetry:
     def test_retry_budget_exhaustion_raises(self):
         runner = ResilientRunner(
             _sd(),
-            retry=RetryPolicy(max_retries=2),
+            max_retries=2,
             injector=_nan_plan(step=1, times=None),
         )
         with pytest.raises(ResilienceExhausted, match="failed after"):
@@ -108,15 +104,12 @@ class TestDegradation:
         assert all(c.degradations == [] for c in chunks[1:])
         assert sum(len(c.steps) for c in chunks) == 8
 
-    def test_degradation_ladder_reaches_floor_then_raises(self):
+    def test_degradation_ladder_reaches_floor_then_raises(self, monkeypatch):
+        monkeypatch.setattr(runner_mod, "MAX_BLOCK_ATTEMPTS", 1)
         plan = FaultPlan(
             specs=(FaultSpec(site="mrhs.block_breakdown", times=None),)
         )
-        runner = ResilientRunner(
-            _mrhs(m=4),
-            degrade=DegradePolicy(max_block_attempts=1),
-            injector=plan,
-        )
+        runner = ResilientRunner(_mrhs(m=4), injector=plan)
         with pytest.raises(ResilienceExhausted, match="block solve"):
             runner.run_steps(4)
 

@@ -16,6 +16,7 @@ Campaigns drive the loop a real operator would run: construct a
 import pytest
 
 from repro.resilience.faults import FaultSpec
+from repro.service.journal import JobJournal
 from repro.service import (
     JobManager,
     JobSpec,
@@ -155,6 +156,11 @@ class TestWorkerCrashCampaigns:
         job = mgr.jobs[1]
         assert job.attempts == 1
         assert job.next_eligible_tick > 0  # a backoff window was set
+        # The journaled window is the pinned schedule: job 1's first
+        # crash waits ceil(2.3486...) = 3 ticks.
+        records, _ = JobJournal.scan(tmp_path / "journal.jsonl")
+        (crash,) = [r for r in records if r["t"] == "crash"]
+        assert crash["next_eligible"] == crash["tick"] + 3
         assert_contract(mgr, _specs(1, steps=6))
 
     def test_repeated_crashes_exhaust_attempts(self, tmp_path):

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.solvers.chol import CholeskySolver
-from repro.solvers.precond import (
-    BlockJacobiPreconditioner,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-)
+from repro.solvers.precond import BlockJacobiPreconditioner
 from repro.solvers.refine import iterative_refinement
-from tests.conftest import random_bcrs
 
 
 def spd_dense(n=18, seed=0):
@@ -132,32 +127,6 @@ class TestIterativeRefinement:
 
 
 class TestPreconditioners:
-    def test_identity(self):
-        I = IdentityPreconditioner()
-        v = np.arange(5.0)
-        out = I(v)
-        np.testing.assert_array_equal(out, v)
-        assert out is not v  # must be a copy, CG mutates its vectors
-
-    def test_jacobi_inverts_diagonal_matrix(self, spd_bcrs):
-        M = JacobiPreconditioner(spd_bcrs)
-        diag = np.einsum("kii->ki", spd_bcrs.diagonal_blocks()).reshape(-1)
-        v = np.ones(spd_bcrs.n_rows)
-        np.testing.assert_allclose(M(v), 1.0 / diag)
-
-    def test_jacobi_multivector(self, spd_bcrs):
-        M = JacobiPreconditioner(spd_bcrs)
-        V = np.ones((spd_bcrs.n_rows, 3))
-        out = M(V)
-        assert out.shape == V.shape
-        np.testing.assert_allclose(out[:, 0], M(V[:, 0]))
-
-    def test_jacobi_zero_diagonal_safe(self):
-        A = random_bcrs(5, 2.0, seed=0)  # zero diagonal blocks
-        M = JacobiPreconditioner(A)
-        out = M(np.ones(A.n_rows))
-        assert np.all(np.isfinite(out))
-
     def test_block_jacobi_exact_on_block_diagonal(self):
         """On a block-diagonal matrix, block Jacobi IS the inverse."""
         rng = np.random.default_rng(3)

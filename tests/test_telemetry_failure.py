@@ -1,7 +1,7 @@
 """Telemetry under failure (satellite: rejection + fault-abort paths).
 
-Pins the two contracts the acceptance layer makes to the telemetry
-layer:
+Pins the two contracts the resilient runner's step loop makes to the
+telemetry layer:
 
 * every span closes when a step is rejected or a chunk aborts — no
   orphan spans survive an exception path;
@@ -14,7 +14,6 @@ import pytest
 
 import repro.telemetry as _telemetry
 from repro.core.mrhs import MrhsParameters, MrhsStokesianDynamics
-from repro.health.acceptance import StepAcceptanceController
 from repro.health.invariants import InvariantCheck, Severity
 from repro.health.monitor import HealthMonitor
 from repro.resilience import (
@@ -22,9 +21,7 @@ from repro.resilience import (
     FaultSpec,
     ResilienceExhausted,
     ResilientRunner,
-    RetryPolicy,
 )
-from repro.resilience.faults import armed
 from repro.stokesian.dynamics import SDParameters, StokesianDynamics
 from repro.stokesian.packing import random_configuration
 from repro.telemetry import TelemetryHub
@@ -77,11 +74,10 @@ def _step_events(hub):
 class TestSpansCloseOnRejection:
     def test_rejected_attempt_spans_all_closed(self, hub):
         driver = _sd(hub)
-        controller = StepAcceptanceController(driver)
-        with armed(_nan_plan(step=1)):
-            controller.attempt_step()  # step 0: clean
-            outcome = controller.attempt_step()  # step 1: reject + retry
-        assert outcome.retries == 1
+        runner = ResilientRunner(driver, injector=_nan_plan(step=1))
+        # Step 0 is clean; step 1 is rejected and retried.
+        report = runner.run_steps(2)
+        assert report.retries == 1
         assert hub.tracer.open_spans == 0
         # One span per attempt: clean step, rejected attempt, accepted
         # retry — the rejected attempt's span is closed, not orphaned.
@@ -91,12 +87,9 @@ class TestSpansCloseOnRejection:
     def test_exhaustion_abort_closes_spans(self, hub):
         driver = _sd(hub)
         monitor = HealthMonitor([_AlwaysFatal()])
-        driver.health = monitor
-        controller = StepAcceptanceController(
-            driver, retry=RetryPolicy(max_retries=2), monitor=monitor
-        )
+        runner = ResilientRunner(driver, max_retries=2, monitor=monitor)
         with pytest.raises(ResilienceExhausted, match="always-fatal"):
-            controller.attempt_step()
+            runner.run_steps(1)
         assert hub.tracer.open_spans == 0
         assert len(_step_events(hub)) == 3  # initial + 2 retries
         assert not any(e.attrs.get("leaked") for e in hub.tracer.buffered)
@@ -134,10 +127,7 @@ class TestSpansCloseOnRejection:
 class TestMetricsWithdrawal:
     def test_rejected_attempt_metrics_withdrawn(self, hub):
         driver = _sd(hub)
-        controller = StepAcceptanceController(driver)
-        with armed(_nan_plan(step=1)):
-            controller.attempt_step()
-            controller.attempt_step()
+        ResilientRunner(driver, injector=_nan_plan(step=1)).run_steps(2)
         mx = hub.metrics
         # Only the two *accepted* steps count; the rejected attempt's
         # increment was withdrawn by the per-attempt snapshot/restore.
@@ -148,12 +138,9 @@ class TestMetricsWithdrawal:
     def test_abort_keeps_final_attempt_as_post_mortem(self, hub):
         driver = _sd(hub)
         monitor = HealthMonitor([_AlwaysFatal()])
-        driver.health = monitor
-        controller = StepAcceptanceController(
-            driver, retry=RetryPolicy(max_retries=2), monitor=monitor
-        )
+        runner = ResilientRunner(driver, max_retries=2, monitor=monitor)
         with pytest.raises(ResilienceExhausted):
-            controller.attempt_step()
+            runner.run_steps(1)
         mx = hub.metrics
         # Two rejections withdrew their attempts; the third (aborting)
         # attempt is deliberately not rolled back, so the post-mortem
